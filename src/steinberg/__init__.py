@@ -34,14 +34,14 @@ from .congruence import (
 )
 from .dataset import CurveRecord, ScanReport, parse_curve_file, scan_level
 from .frobenius import ApTable, a_p, ap_table, count_points, count_points_enumeration
-from .local_reduction import LocalData, ReductionType, conductor, steinberg_primes, tate_local
+from .local_reduction import LocalData, ReductionType, bad_primes, conductor, steinberg_primes, tate_local
 from .weierstrass import WeierstrassModel, change_coordinates, make_model, parse_curve, valuation
 
 __all__ = [
     "__version__",
     "PrimeList", "primes_up_to", "is_prime", "kronecker", "sqrt_mod_p_exists", "factorize",
     "WeierstrassModel", "make_model", "parse_curve", "change_coordinates", "valuation",
-    "ReductionType", "LocalData", "tate_local", "conductor", "steinberg_primes",
+    "ReductionType", "LocalData", "tate_local", "bad_primes", "conductor", "steinberg_primes",
     "count_points", "count_points_enumeration", "a_p", "ApTable", "ap_table",
     "QuadraticCharacter", "index_gamma0", "sturm_bound", "twisted_level",
     "CongruenceCertificate", "certify_congruence", "reverify_congruence",

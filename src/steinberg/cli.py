@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -18,7 +19,7 @@ from .certificates import Conclusion, check_theorem_a, validate_pair
 from .congruence import QuadraticCharacter, certify_congruence, index_gamma0, sturm_bound
 from .dataset import parse_curve_file, scan_level
 from .frobenius import ap_table
-from .local_reduction import conductor, steinberg_primes, tate_local
+from .local_reduction import bad_primes, conductor, steinberg_primes, tate_local
 from .weierstrass import parse_curve
 
 __all__ = ["run", "main"]
@@ -50,18 +51,12 @@ def _curve_arg(text: str):
         raise _UsageError(str(exc)) from None
 
 
-def _bad_primes(model) -> list[int]:
-    from .arith import factorize
-
-    return [p for p, _ in factorize(model.disc)]
-
-
 def _cmd_localdata(args):
     model = _curve_arg(args.curve)
     if args.prime is not None:
         primes = [_prime_arg("--prime", args.prime)]
     else:
-        primes = _bad_primes(model)
+        primes = bad_primes(model)
     result = {
         "conductor": conductor(model),
         "local_data": [tate_local(model, p).to_dict() for p in primes],
@@ -154,8 +149,8 @@ def _cmd_paper_example(args):
     cert = certify_congruence(model_a, model_b, ell, twist)
     consistency = validate_pair(model_a, model_b, p, ell, cert)
     result = {
-        "local_data_a": [tate_local(model_a, q).to_dict() for q in _bad_primes(model_a)],
-        "local_data_b": [tate_local(model_b, q).to_dict() for q in _bad_primes(model_b)],
+        "local_data_a": [tate_local(model_a, q).to_dict() for q in bad_primes(model_a)],
+        "local_data_b": [tate_local(model_b, q).to_dict() for q in bad_primes(model_b)],
         "verdict": verdict.to_dict(),
         "congruence": cert.to_dict(),
         "pair_consistency": consistency.to_dict(),
@@ -309,24 +304,17 @@ def _pretty_scan(result, out):
 
 
 def _pretty_paper_example(result, out):
-    print("== local data, curve A ==", file=out)
-    _pretty_localdata(
-        {
-            "conductor": 1406,
-            "local_data": result["local_data_a"],
-            "steinberg_primes": [[r["p"], r["a_p"]] for r in result["local_data_a"] if r["conductor_exponent"] == 1],
-        },
-        out,
-    )
-    print("== local data, curve B ==", file=out)
-    _pretty_localdata(
-        {
-            "conductor": 1406,
-            "local_data": result["local_data_b"],
-            "steinberg_primes": [[r["p"], r["a_p"]] for r in result["local_data_b"] if r["conductor_exponent"] == 1],
-        },
-        out,
-    )
+    for name, key in (("A", "local_data_a"), ("B", "local_data_b")):
+        local_data = result[key]
+        print(f"== local data, curve {name} ==", file=out)
+        _pretty_localdata(
+            {
+                "conductor": math.prod(r["p"] ** r["conductor_exponent"] for r in local_data),
+                "local_data": local_data,
+                "steinberg_primes": [[r["p"], r["a_p"]] for r in local_data if r["conductor_exponent"] == 1],
+            },
+            out,
+        )
     print("== existence test ==", file=out)
     _pretty_check_theorem(result["verdict"], out)
     print("== congruence ==", file=out)

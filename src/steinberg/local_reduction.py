@@ -18,6 +18,7 @@ __all__ = [
     "ReductionType",
     "LocalData",
     "tate_local",
+    "bad_primes",
     "conductor",
     "steinberg_primes",
 ]
@@ -243,10 +244,15 @@ def tate_local(model: WeierstrassModel, p: int) -> LocalData:
         E = change_coordinates(E, p, 0, 0, 0)
 
 
+def bad_primes(model: WeierstrassModel) -> list[int]:
+    """The primes dividing the model's discriminant, ascending."""
+    return [p for p, _ in factorize(model.disc)]
+
+
 def conductor(model: WeierstrassModel) -> int:
     """Product of p^f_p over the primes dividing the discriminant."""
     N = 1
-    for p, _ in factorize(model.disc):
+    for p in bad_primes(model):
         N *= p ** tate_local(model, p).f_p
     return N
 
@@ -258,7 +264,7 @@ def steinberg_primes(model: WeierstrassModel) -> list[tuple[int, int]]:
     +1 for split and -1 for nonsplit reduction (the eigenvalue a_p).
     """
     out = []
-    for p, _ in factorize(model.disc):
+    for p in bad_primes(model):
         data = tate_local(model, p)
         if data.f_p == 1:
             out.append((p, data.a_p))

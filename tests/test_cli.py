@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -250,13 +251,30 @@ def test_pretty_paper_example():
     assert "consistent: True" in out
 
 
+def test_pretty_paper_example_conductor_comes_from_local_data():
+    from steinberg.cli import _pretty_paper_example
+
+    _, example = invoke_json("paper-example")
+    _, local = invoke_json("localdata", CURVE_11A1)
+    result = dict(example["result"], local_data_b=local["result"]["local_data"])
+    out = io.StringIO()
+    _pretty_paper_example(result, out)
+    text = out.getvalue()
+    assert "conductor: 1406\n" in text
+    assert "conductor: 11\n" in text
+
+
 # -- module execution ------------------------------------------------------------------------
 
 def test_module_invocation():
+    # the child process runs the package this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(steinberg.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "steinberg", "sturm", "--level", "11"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     env = json.loads(proc.stdout)

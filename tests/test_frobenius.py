@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import steinberg.frobenius as frob
 from steinberg import (
@@ -9,6 +11,7 @@ from steinberg import (
     count_points,
     count_points_enumeration,
     factorize,
+    is_prime,
     make_model,
     primes_up_to,
 )
@@ -81,11 +84,70 @@ def test_enumeration_matches_legendre_sum_worked_curve(E):
             assert count_reduced_points(E.a_invariants, p) == count_points_enumeration(E, p)
 
 
-def test_scalar_fallback_matches_vector_path(E, monkeypatch):
-    vector = [count_reduced_points(E.a_invariants, p) for p in (5, 101, 1009)]
-    monkeypatch.setattr(frob, "_VECTOR_MAX_P", 3)
-    scalar = [count_reduced_points(E.a_invariants, p) for p in (5, 101, 1009)]
-    assert scalar == vector
+@pytest.mark.parametrize("ai", [(1, 1, 1, -614, -5501), (1, -1, 1, -1191, 507615), (0, 0, 0, 0, 1), (0, 0, 0, -1, 0)])
+def test_enumeration_matches_kernel_across_mestre_cutoff(ai):
+    # 200 < p < 400 covers the Legendre sum (p <= 229) and baby-step/giant-step
+    m = make_model(*ai)
+    primes = [p for p in good_primes(m, 400) if p > 200]
+    assert min(primes) <= frob._MESTRE_BOUND < max(primes)
+    for p in primes:
+        assert count_reduced_points(ai, p) == count_points_enumeration(m, p), (ai, p)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    ai=st.tuples(*[st.integers(-10, 10)] * 5),
+    p=st.sampled_from(primes_up_to(400).primes),
+)
+def test_enumeration_matches_kernel_hypothesis(ai, p):
+    try:
+        m = make_model(*ai)
+    except ValueError:
+        assume(False)
+    assume(m.disc % p != 0)
+    assert count_reduced_points(ai, p) == count_points_enumeration(m, p)
+
+
+def test_kernel_raises_when_candidates_do_not_narrow():
+    # below Mestre's bound the candidates may never narrow: y^2 = x^3 + x has
+    # 20 points over F_29 and its twist 40, and both group exponents have two
+    # multiples in the Hasse interval; the loop over x ends and raises
+    with pytest.raises(ArithmeticError):
+        frob._shanks_mestre(1, 0, 29)
+
+
+# -- closed forms at large primes --------------------------------------------------
+
+def next_prime(n, residue, modulus):
+    """The least prime q > n with q = residue (mod modulus)."""
+    q = n + 1
+    while q % modulus != residue or not is_prime(q):
+        q += 1
+    return q
+
+
+@pytest.mark.parametrize("start", [2**25, 10**9])
+@pytest.mark.parametrize(
+    "ai, residue, modulus",
+    [((0, 0, 0, 0, 1), 2, 3), ((0, 0, 0, -1, 0), 3, 4)],
+    ids=["x3+1", "x3-x"],
+)
+def test_supersingular_count_at_large_primes(ai, residue, modulus, start):
+    p = next_prime(start, residue, modulus)
+    assert count_reduced_points(ai, p) == p + 1
+    assert count_points(make_model(*ai), p) == p + 1
+
+
+def test_hasse_bound_and_twist_sum_near_a_million(E):
+    p = next_prime(10**6, 1, 2)
+    ap = a_p(E, p)
+    assert ap * ap <= 4 * p
+    # the twist of y^2 = x^3 + A·x + B by a nonresidue d is y^2 = x^3 + A·d^2·x + B·d^3
+    A, B = -27 * E.c4, -54 * E.c6
+    d = next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) == p - 1)
+    twist = (0, 0, 0, A * d * d, B * d ** 3)
+    assert count_reduced_points((0, 0, 0, A, B), p) == count_points(E, p)
+    assert count_points(E, p) + count_reduced_points(twist, p) == 2 * p + 2
 
 
 # -- Hasse bound ----------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from steinberg import (
     LocalData,
     ReductionType,
+    bad_primes,
     change_coordinates,
     conductor,
     factorize,
@@ -54,6 +55,7 @@ def test_worked_curve_local_data(E):
 
 
 def test_worked_curve_conductor_and_signs(E, Eprime):
+    assert bad_primes(E) == bad_primes(Eprime) == [2, 19, 37]
     assert conductor(E) == 1406
     assert steinberg_primes(E) == [(2, 1), (19, -1), (37, -1)]
     assert conductor(Eprime) == 1406
