@@ -7,7 +7,6 @@ fixed word size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import isqrt
 
 __all__ = [
@@ -22,17 +21,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrimeList:
-    """All primes <= bound, ascending, with O(1) membership tests."""
+    """All primes <= bound, ascending."""
 
     bound: int
     primes: tuple[int, ...]
-
-    @cached_property
-    def _members(self) -> frozenset[int]:
-        return frozenset(self.primes)
-
-    def __contains__(self, n: object) -> bool:
-        return n in self._members
 
     def __iter__(self):
         return iter(self.primes)

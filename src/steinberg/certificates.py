@@ -17,6 +17,7 @@ from .arith import is_prime, kronecker, primes_up_to
 from .congruence import CongruenceCertificate
 from .frobenius import a_p
 from .local_reduction import conductor, tate_local
+from .record import Record, json_at
 from .weierstrass import WeierstrassModel, make_model
 
 __all__ = [
@@ -34,7 +35,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class IrreducibilityCertificate:
+class IrreducibilityCertificate(Record):
     """Witness that the mod-ell representation is (absolutely) irreducible.
 
     q is the least good auxiliary prime, coprime to ell times the conductor,
@@ -45,35 +46,10 @@ class IrreducibilityCertificate:
     ell: int
     q: int
     a_q: int
-    trace_mod_ell: int
-    det_mod_ell: int
+    trace_mod_ell: int = json_at("charpoly", 0)
+    det_mod_ell: int = json_at("charpoly", 1)
     disc_mod_ell: int
     nonresidue_witness: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "curve": list(self.curve),
-            "ell": self.ell,
-            "q": self.q,
-            "a_q": self.a_q,
-            "charpoly": [self.trace_mod_ell, self.det_mod_ell],
-            "disc_mod_ell": self.disc_mod_ell,
-            "nonresidue_witness": self.nonresidue_witness,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IrreducibilityCertificate":
-        trace, det = data["charpoly"]
-        return cls(
-            curve=tuple(data["curve"]),
-            ell=data["ell"],
-            q=data["q"],
-            a_q=data["a_q"],
-            trace_mod_ell=trace,
-            det_mod_ell=det,
-            disc_mod_ell=data["disc_mod_ell"],
-            nonresidue_witness=data["nonresidue_witness"],
-        )
 
 
 def irreducibility_certificate(
@@ -162,7 +138,7 @@ _CHECK_NAMES = (
 
 
 @dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(Record):
     """Outcome of the existence test at (p, ell), with enough witnesses stored
     that every boolean can be recomputed without redoing the search."""
 
@@ -170,67 +146,17 @@ class TheoremVerdict:
     p: int
     ell: int
     search_bound: int
-    steinberg_at_p: bool
-    a_p: int
-    level: int
-    v_min_disc_at_p: int
-    ell_not_2p: bool
-    ell_coprime_level: bool
-    irreducibility: IrreducibilityCertificate | None
-    p_is_minus_one_mod_ell: bool
-    unramified_at_p: bool
+    steinberg_at_p: bool = json_at("checks", "steinberg_at_p")
+    a_p: int = json_at("witnesses", "a_p")
+    level: int = json_at("witnesses", "level")
+    v_min_disc_at_p: int = json_at("witnesses", "v_min_disc_at_p")
+    ell_not_2p: bool = json_at("checks", "ell_not_2p")
+    ell_coprime_level: bool = json_at("checks", "ell_coprime_level")
+    irreducibility: IrreducibilityCertificate | None = json_at("checks", "irreducibility")
+    p_is_minus_one_mod_ell: bool = json_at("checks", "p_is_minus_one_mod_ell")
+    unramified_at_p: bool = json_at("checks", "unramified_at_p")
     failed_checks: tuple[str, ...]
     conclusion: Conclusion
-
-    def to_dict(self) -> dict:
-        return {
-            "curve": list(self.curve),
-            "p": self.p,
-            "ell": self.ell,
-            "search_bound": self.search_bound,
-            "checks": {
-                "steinberg_at_p": self.steinberg_at_p,
-                "ell_not_2p": self.ell_not_2p,
-                "ell_coprime_level": self.ell_coprime_level,
-                "irreducibility": (
-                    self.irreducibility.to_dict() if self.irreducibility else None
-                ),
-                "p_is_minus_one_mod_ell": self.p_is_minus_one_mod_ell,
-                "unramified_at_p": self.unramified_at_p,
-            },
-            "witnesses": {
-                "a_p": self.a_p,
-                "level": self.level,
-                "v_min_disc_at_p": self.v_min_disc_at_p,
-            },
-            "failed_checks": list(self.failed_checks),
-            "conclusion": self.conclusion.value,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TheoremVerdict":
-        checks = data["checks"]
-        witnesses = data["witnesses"]
-        cert = checks["irreducibility"]
-        return cls(
-            curve=tuple(data["curve"]),
-            p=data["p"],
-            ell=data["ell"],
-            search_bound=data["search_bound"],
-            steinberg_at_p=checks["steinberg_at_p"],
-            a_p=witnesses["a_p"],
-            level=witnesses["level"],
-            v_min_disc_at_p=witnesses["v_min_disc_at_p"],
-            ell_not_2p=checks["ell_not_2p"],
-            ell_coprime_level=checks["ell_coprime_level"],
-            irreducibility=(
-                IrreducibilityCertificate.from_dict(cert) if cert else None
-            ),
-            p_is_minus_one_mod_ell=checks["p_is_minus_one_mod_ell"],
-            unramified_at_p=checks["unramified_at_p"],
-            failed_checks=tuple(data["failed_checks"]),
-            conclusion=Conclusion(data["conclusion"]),
-        )
 
 
 def check_theorem_a(
@@ -253,7 +179,7 @@ def check_theorem_a(
     ell_coprime_level = N % ell != 0
     cert = irreducibility_certificate(model, ell, search_bound) if ell != 2 else None
     minus_one = (p + 1) % ell == 0
-    unramified = steinberg and p != ell and data.v_min_disc % ell == 0
+    unramified = steinberg and p != ell and unramified_at(model, p, ell)
 
     flags = dict(
         zip(_CHECK_NAMES, (steinberg, ell_not_2p, ell_coprime_level, minus_one, unramified))
@@ -294,7 +220,7 @@ def reverify_verdict(verdict: TheoremVerdict) -> bool:
 
 
 @dataclass(frozen=True)
-class PairConsistency:
+class PairConsistency(Record):
     """Consistency report for a certified opposite-sign pair: the reverse
     implication says the congruence forces p = -1 (mod ell) and
     unramifiedness at p, so both must hold."""
@@ -305,16 +231,6 @@ class PairConsistency:
     unramified_at_p: bool
     consistent: bool
     inconsistencies: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "ell": self.ell,
-            "p_is_minus_one_mod_ell": self.p_is_minus_one_mod_ell,
-            "unramified_at_p": self.unramified_at_p,
-            "consistent": self.consistent,
-            "inconsistencies": list(self.inconsistencies),
-        }
 
 
 def validate_pair(

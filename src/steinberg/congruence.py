@@ -14,6 +14,7 @@ from math import lcm
 from .arith import factorize, is_prime, kronecker, primes_up_to
 from .frobenius import ap_table
 from .local_reduction import conductor
+from .record import Record, json_at
 from .weierstrass import WeierstrassModel, make_model
 
 __all__ = [
@@ -28,7 +29,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class QuadraticCharacter:
+class QuadraticCharacter(Record):
     """The real character n -> kronecker(n, modulus); modulus 1 is trivial."""
 
     modulus: int
@@ -39,13 +40,6 @@ class QuadraticCharacter:
 
     def __call__(self, n: int) -> int:
         return kronecker(n, self.modulus)
-
-    def to_dict(self) -> dict:
-        return {"modulus": self.modulus}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QuadraticCharacter":
-        return cls(data["modulus"])
 
 
 def index_gamma0(M: int) -> int:
@@ -71,16 +65,20 @@ def sturm_bound(M: int, k: int) -> int:
 
 
 def twisted_level(N: int, d: int) -> int:
-    """Level containing the twist by the quadratic character of modulus d."""
+    """Level containing the twist of a level-N form by n -> kronecker(n, d):
+    lcm(N, m^2) for a modulus m of that character (Shimura, Prop. 3.64).
+    m = |d|, except m = 4|d| when d = 2 (mod 4): kronecker(n, 2) depends on
+    n mod 8."""
     if N < 1:
         raise ValueError("level must be positive")
     if d == 0:
         raise ValueError("twist modulus must be nonzero")
-    return lcm(N, d * d)
+    m = 4 * abs(d) if d % 4 == 2 else abs(d)
+    return lcm(N, m * m)
 
 
 @dataclass(frozen=True)
-class CongruenceCertificate:
+class CongruenceCertificate(Record):
     """Outcome of a finite congruence check between two coefficient sequences.
 
     curve_a / curve_b are the a-invariant tuples; counterexample, when the
@@ -91,42 +89,21 @@ class CongruenceCertificate:
     curve_b: tuple[int, int, int, int, int]
     ell: int
     twist: QuadraticCharacter
-    twisted_level_value: int
-    sturm_bound_value: int
+    twisted_level_value: int = json_at("twisted_level")
+    sturm_bound_value: int = json_at("sturm_bound")
     primes_checked: int
     excluded_primes: tuple[int, ...]
-    passed: bool
+    passed: bool = json_at("status")
     counterexample: tuple[int, int, int] | None
 
     def to_dict(self) -> dict:
-        return {
-            "curve_a": list(self.curve_a),
-            "curve_b": list(self.curve_b),
-            "ell": self.ell,
-            "twist": self.twist.to_dict(),
-            "twisted_level": self.twisted_level_value,
-            "sturm_bound": self.sturm_bound_value,
-            "primes_checked": self.primes_checked,
-            "excluded_primes": list(self.excluded_primes),
-            "status": "pass" if self.passed else "fail",
-            "counterexample": list(self.counterexample) if self.counterexample else None,
-        }
+        data = super().to_dict()
+        data["status"] = "pass" if self.passed else "fail"
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "CongruenceCertificate":
-        witness = data.get("counterexample")
-        return cls(
-            curve_a=tuple(data["curve_a"]),
-            curve_b=tuple(data["curve_b"]),
-            ell=data["ell"],
-            twist=QuadraticCharacter.from_dict(data["twist"]),
-            twisted_level_value=data["twisted_level"],
-            sturm_bound_value=data["sturm_bound"],
-            primes_checked=data["primes_checked"],
-            excluded_primes=tuple(data["excluded_primes"]),
-            passed=data["status"] == "pass",
-            counterexample=tuple(witness) if witness else None,
-        )
+        return super().from_dict({**data, "status": data["status"] == "pass"})
 
 
 def certify_congruence(

@@ -12,6 +12,7 @@ from typing import IO, Iterable
 
 from .congruence import CongruenceCertificate, QuadraticCharacter, certify_congruence
 from .local_reduction import conductor, tate_local
+from .record import Record, json_at
 from .weierstrass import WeierstrassModel, parse_curve
 
 __all__ = [
@@ -56,29 +57,20 @@ def parse_curve_file(source: str | IO[str]) -> list[CurveRecord]:
 
 
 @dataclass(frozen=True)
-class SkippedRecord:
+class SkippedRecord(Record):
     label: str
     reason: str
 
-    def to_dict(self) -> dict:
-        return {"label": self.label, "reason": self.reason}
-
 
 @dataclass(frozen=True)
-class CandidatePair:
-    label_a: str
-    label_b: str
+class CandidatePair(Record):
+    label_a: str = json_at("labels", 0)
+    label_b: str = json_at("labels", 1)
     certificate: CongruenceCertificate
 
-    def to_dict(self) -> dict:
-        return {
-            "labels": [self.label_a, self.label_b],
-            "certificate": self.certificate.to_dict(),
-        }
-
 
 @dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Record):
     level: int
     p: int
     ell: int
@@ -87,18 +79,6 @@ class ScanReport:
     candidates: tuple[CandidatePair, ...]
     skipped: tuple[SkippedRecord, ...]
     notes: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "p": self.p,
-            "ell": self.ell,
-            "twist": self.twist.to_dict(),
-            "sign_table": [[label, sign] for label, sign in self.sign_table],
-            "candidates": [pair.to_dict() for pair in self.candidates],
-            "skipped": [rec.to_dict() for rec in self.skipped],
-            "notes": list(self.notes),
-        }
 
 
 def scan_level(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .arith import is_prime, primes_up_to
-from .local_reduction import ReductionType, bad_primes, tate_local
+from .local_reduction import ReductionType, tate_local
 from .weierstrass import WeierstrassModel
 
 __all__ = [
@@ -224,7 +224,7 @@ def ap_table(model: WeierstrassModel, bound: int) -> ApTable:
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    special = set(bad_primes(model))
+    special = set(model.bad_primes)
     ai = model.a_invariants
     entries = {}
     for p in primes_up_to(bound):

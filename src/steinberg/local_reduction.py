@@ -11,14 +11,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .arith import factorize, is_prime, kronecker
+from .arith import is_prime, kronecker
+from .record import Record, json_at
 from .weierstrass import WeierstrassModel, change_coordinates, valuation
 
 __all__ = [
     "ReductionType",
     "LocalData",
     "tate_local",
-    "bad_primes",
     "conductor",
     "steinberg_primes",
 ]
@@ -32,7 +32,7 @@ class ReductionType(enum.Enum):
 
 
 @dataclass(frozen=True)
-class LocalData:
+class LocalData(Record):
     """Reduction data of a curve at one prime.
 
     v_min_disc is the valuation of the discriminant of a p-minimal model;
@@ -42,29 +42,10 @@ class LocalData:
     """
 
     p: int
-    rtype: ReductionType
+    rtype: ReductionType = json_at("reduction_type")
     v_min_disc: int
-    f_p: int
+    f_p: int = json_at("conductor_exponent")
     a_p: int
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "reduction_type": self.rtype.value,
-            "v_min_disc": self.v_min_disc,
-            "conductor_exponent": self.f_p,
-            "a_p": self.a_p,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LocalData":
-        return cls(
-            p=data["p"],
-            rtype=ReductionType(data["reduction_type"]),
-            v_min_disc=data["v_min_disc"],
-            f_p=data["conductor_exponent"],
-            a_p=data["a_p"],
-        )
 
 
 def _inv(a: int, p: int) -> int:
@@ -244,15 +225,10 @@ def tate_local(model: WeierstrassModel, p: int) -> LocalData:
         E = change_coordinates(E, p, 0, 0, 0)
 
 
-def bad_primes(model: WeierstrassModel) -> list[int]:
-    """The primes dividing the model's discriminant, ascending."""
-    return [p for p, _ in factorize(model.disc)]
-
-
 def conductor(model: WeierstrassModel) -> int:
     """Product of p^f_p over the primes dividing the discriminant."""
     N = 1
-    for p in bad_primes(model):
+    for p in model.bad_primes:
         N *= p ** tate_local(model, p).f_p
     return N
 
@@ -264,7 +240,7 @@ def steinberg_primes(model: WeierstrassModel) -> list[tuple[int, int]]:
     +1 for split and -1 for nonsplit reduction (the eigenvalue a_p).
     """
     out = []
-    for p in bad_primes(model):
+    for p in model.bad_primes:
         data = tate_local(model, p)
         if data.f_p == 1:
             out.append((p, data.a_p))

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
+
+from .arith import factorize
 
 __all__ = [
     "WeierstrassModel",
@@ -53,6 +56,11 @@ class WeierstrassModel:
     @property
     def a_invariants(self) -> tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
+
+    @cached_property
+    def bad_primes(self) -> tuple[int, ...]:
+        """The primes dividing the discriminant, ascending; factored once per model."""
+        return tuple(p for p, _ in factorize(self.disc))
 
     def __repr__(self) -> str:
         return f"WeierstrassModel({list(self.a_invariants)})"

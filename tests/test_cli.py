@@ -87,6 +87,22 @@ def test_localdata_default_runs_all_bad_primes():
     assert result["steinberg_primes"] == [[2, 1], [19, -1], [37, -1]]
 
 
+def test_localdata_factors_the_discriminant_once(monkeypatch):
+    factorize = steinberg.factorize
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("steinberg.") and getattr(module, "factorize", None) is factorize:
+            monkeypatch.setattr(module, "factorize", counting)
+    code, _ = invoke_json("localdata", CURVE_A)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_localdata_single_prime():
     code, env = invoke_json("localdata", CURVE_A, "--prime", "5")
     assert code == 0

@@ -1,5 +1,5 @@
 import dataclasses
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -101,7 +101,24 @@ def test_twisted_level_golden():
     assert twisted_level(1406, 19) == 26714
     assert twisted_level(11, 1) == 11
     assert twisted_level(11, 3) == 99
-    assert twisted_level(12, 2) == 12  # 4 already divides 12
+    # kronecker(n, 2) has period 8, so the twist by 2 lives at lcm(12, 8^2)
+    assert twisted_level(12, 2) == 192
+    assert twisted_level(1406, 38) == 854848  # 2^6 * 19^2 * 37
+
+
+def test_twisted_level_squares_a_period_of_the_character():
+    for d in range(-60, 61):
+        if d == 0:
+            continue
+        # the true period is at most 8|d|; a window of 16|d| values finds it
+        values = [kronecker(n, d) for n in range(1, 16 * abs(d) + 1)]
+        period = next(
+            q for q in range(1, 8 * abs(d) + 1)
+            if all(values[i] == values[i + q] for i in range(len(values) - q))
+        )
+        m = isqrt(twisted_level(1, d))  # the modulus twisted_level squares
+        assert m * m == twisted_level(1, d)
+        assert m % period == 0, (d, period, m)
 
 
 def test_twisted_level_rejects_bad_inputs():
@@ -134,10 +151,10 @@ def test_certified_congruence_witnesses_spot_check(E, Eprime, paper_cert):
 def test_congruence_with_wider_twist(E, Eprime):
     cert = certify_congruence(E, Eprime, 5, QuadraticCharacter(38))
     assert cert.passed
-    assert cert.twisted_level_value == 53428
-    assert cert.sturm_bound_value == 14440
+    assert cert.twisted_level_value == 854848
+    assert cert.sturm_bound_value == 231040
     assert cert.excluded_primes == (2, 19)
-    assert cert.primes_checked == 1691
+    assert cert.primes_checked == 20523
 
 
 def test_self_congruence_trivial_twist(E):

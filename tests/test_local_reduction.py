@@ -5,7 +5,6 @@ import pytest
 from steinberg import (
     LocalData,
     ReductionType,
-    bad_primes,
     change_coordinates,
     conductor,
     factorize,
@@ -55,7 +54,7 @@ def test_worked_curve_local_data(E):
 
 
 def test_worked_curve_conductor_and_signs(E, Eprime):
-    assert bad_primes(E) == bad_primes(Eprime) == [2, 19, 37]
+    assert E.bad_primes == Eprime.bad_primes == (2, 19, 37)
     assert conductor(E) == 1406
     assert steinberg_primes(E) == [(2, 1), (19, -1), (37, -1)]
     assert conductor(Eprime) == 1406
