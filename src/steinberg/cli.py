@@ -79,6 +79,8 @@ def _cmd_check_theorem(args):
     model = _curve_arg(args.curve)
     p = _prime_arg("--p", args.p)
     ell = _prime_arg("--ell", args.ell)
+    if args.search_bound < 0:
+        raise _UsageError("--search-bound must be nonnegative")
     verdict = check_theorem_a(model, p, ell, args.search_bound)
     inputs = {
         "curve": list(model.a_invariants),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from typing import Callable, Iterable
 
 from .arith import factorize, is_prime, kronecker, primes_up_to
 from .frobenius import ap_table
@@ -23,6 +24,7 @@ __all__ = [
     "sturm_bound",
     "twisted_level",
     "CongruenceCertificate",
+    "compare_traces",
     "certify_congruence",
     "reverify_congruence",
 ]
@@ -106,6 +108,34 @@ class CongruenceCertificate(Record):
         return super().from_dict({**data, "status": data["status"] == "pass"})
 
 
+def compare_traces(
+    trace_a: Callable[[int], int],
+    trace_b: Callable[[int], int],
+    primes: Iterable[int],
+    ell: int,
+    twist: QuadraticCharacter,
+) -> tuple[int, tuple[int, ...], tuple[int, int, int] | None]:
+    """Compare twist(p)·a_p(A) with twist(p)·a_p(B) mod ell over the primes,
+    in the given (ascending) order, stopping at the first difference.
+
+    trace_a and trace_b map a prime to its a_p.  Returns how many primes were
+    compared, the primes skipped because the twist vanishes there, and
+    (p, a_p(A), a_p(B)) at the first mismatch, or None.
+    """
+    excluded = []
+    checked = 0
+    for p in primes:
+        chi = twist(p)
+        if chi == 0:
+            excluded.append(p)
+            continue
+        checked += 1
+        ta, tb = trace_a(p), trace_b(p)
+        if chi * (ta - tb) % ell != 0:
+            return checked, tuple(excluded), (p, ta, tb)
+    return checked, tuple(excluded), None
+
+
 def certify_congruence(
     model_a: WeierstrassModel,
     model_b: WeierstrassModel,
@@ -126,20 +156,9 @@ def certify_congruence(
     bound = sturm_bound(M, 2)
     table_a = ap_table(model_a, bound).entries
     table_b = ap_table(model_b, bound).entries
-
-    excluded = []
-    checked = 0
-    counterexample = None
-    for p in primes_up_to(bound):
-        chi = twist(p)
-        if chi == 0:
-            excluded.append(p)
-            continue
-        checked += 1
-        ta, tb = table_a[p], table_b[p]
-        if (chi * ta - chi * tb) % ell != 0:
-            counterexample = (p, ta, tb)
-            break
+    checked, excluded, counterexample = compare_traces(
+        table_a.__getitem__, table_b.__getitem__, primes_up_to(bound), ell, twist
+    )
 
     return CongruenceCertificate(
         curve_a=model_a.a_invariants,
@@ -149,7 +168,7 @@ def certify_congruence(
         twisted_level_value=M,
         sturm_bound_value=bound,
         primes_checked=checked,
-        excluded_primes=tuple(excluded),
+        excluded_primes=excluded,
         passed=counterexample is None,
         counterexample=counterexample,
     )

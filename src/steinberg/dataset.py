@@ -8,9 +8,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import IO, Iterable
 
-from .congruence import CongruenceCertificate, QuadraticCharacter, certify_congruence
+from .arith import primes_up_to
+from .congruence import (
+    CongruenceCertificate,
+    QuadraticCharacter,
+    certify_congruence,
+    compare_traces,
+    sturm_bound,
+    twisted_level,
+)
+from .frobenius import memo_a_p
 from .local_reduction import conductor, tate_local
 from .record import Record, json_at
 from .weierstrass import WeierstrassModel, parse_curve
@@ -91,8 +101,10 @@ def scan_level(
 
     The scan restricts to the records' common conductor (the modal value,
     smaller on ties; everything else is skipped with a reason), reads off the
-    sign at p of each remaining curve, and runs the full congruence check on
-    every opposite-sign pair.  Only passing pairs are reported.
+    sign at p of each remaining curve, and compares every opposite-sign pair
+    up to the Sturm bound, stopping at its least counterexample.  Each
+    curve's a_p are computed at most once (they are kept on its model), and
+    only the pairs that reach the bound are certified and reported.
     """
     records = list(records)
     if not records:
@@ -119,15 +131,25 @@ def scan_level(
         signs.append((rec.label, data.a_p))
         eligible.append(rec)
 
-    candidates: list[CandidatePair] = []
     sign_of = dict(signs)
-    for i, rec_a in enumerate(eligible):
-        for rec_b in eligible[i + 1 :]:
-            if sign_of[rec_a.label] != -sign_of[rec_b.label]:
-                continue
+    pairs = [
+        (rec_a, rec_b)
+        for i, rec_a in enumerate(eligible)
+        for rec_b in eligible[i + 1 :]
+        if sign_of[rec_a.label] == -sign_of[rec_b.label]
+    ]
+    candidates: list[CandidatePair] = []
+    if pairs:
+        # every eligible curve has conductor `level`, so this is the bound
+        # certify_congruence uses for each pair
+        primes = primes_up_to(sturm_bound(twisted_level(level, twist.modulus), 2))
+    for rec_a, rec_b in pairs:
+        *_, counterexample = compare_traces(
+            partial(memo_a_p, rec_a.model), partial(memo_a_p, rec_b.model), primes, ell, twist
+        )
+        if counterexample is None:
             cert = certify_congruence(rec_a.model, rec_b.model, ell, twist)
-            if cert.passed:
-                candidates.append(CandidatePair(rec_a.label, rec_b.label, cert))
+            candidates.append(CandidatePair(rec_a.label, rec_b.label, cert))
 
     notes: list[str] = []
     if not candidates:

@@ -31,6 +31,7 @@ __all__ = [
     "count_points_enumeration",
     "count_reduced_points",
     "a_p",
+    "memo_a_p",
     "ApTable",
     "ap_table",
 ]
@@ -192,10 +193,32 @@ def count_points(model: WeierstrassModel, p: int) -> int:
     return p + 1 - data.a_p
 
 
+def memo_a_p(model: WeierstrassModel, p: int) -> int:
+    """a_p at a prime p (not checked), read from or added to `model.ap_memo`,
+    so it is computed once per (model, prime).
+
+    Primes dividing the discriminant go through the local classification
+    (which also covers non-minimal-but-good primes); away from the
+    discriminant the model is already p-minimal with good reduction, so the
+    counting kernel applies directly.
+    """
+    memo = model.ap_memo
+    value = memo.get(p)
+    if value is None:
+        if p in model.bad_primes:
+            value = tate_local(model, p).a_p
+        else:
+            value = p + 1 - count_reduced_points(model.a_invariants, p)
+        memo[p] = value
+    return value
+
+
 def a_p(model: WeierstrassModel, p: int) -> int:
     """Trace of Frobenius at p: p + 1 - #E(F_p) at good primes, the sign
     +-1 at multiplicative primes, 0 at additive ones."""
-    return tate_local(model, p).a_p
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    return memo_a_p(model, p)
 
 
 @dataclass(frozen=True)
@@ -215,21 +238,7 @@ class ApTable:
 
 
 def ap_table(model: WeierstrassModel, bound: int) -> ApTable:
-    """Tabulate a_p over all primes up to bound.
-
-    Primes dividing the discriminant go through the local classification
-    (which also covers non-minimal-but-good primes); away from the
-    discriminant the model is already p-minimal with good reduction, so the
-    counting kernel applies directly.
-    """
+    """Tabulate a_p over all primes up to bound, through `memo_a_p`."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    special = set(model.bad_primes)
-    ai = model.a_invariants
-    entries = {}
-    for p in primes_up_to(bound):
-        if p in special:
-            entries[p] = tate_local(model, p).a_p
-        else:
-            entries[p] = p + 1 - count_reduced_points(ai, p)
-    return ApTable(model, bound, entries)
+    return ApTable(model, bound, {p: memo_a_p(model, p) for p in primes_up_to(bound)})

@@ -150,11 +150,23 @@ def _instar_length(E: WeierstrassModel, p: int) -> int:
 def tate_local(model: WeierstrassModel, p: int) -> LocalData:
     """Classify the reduction of the model at the prime p.
 
+    The result is kept on the model (`model.local_memo`), so the algorithm
+    runs once per (model, prime).
+    """
+    data = model.local_memo.get(p)
+    if data is None:
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        data = model.local_memo[p] = _tate(model, p)
+    return data
+
+
+def _tate(model: WeierstrassModel, p: int) -> LocalData:
+    """Tate's algorithm at p.
+
     Restarts on the rescaled model whenever step 11 detects non-minimality,
     so the output describes a p-minimal model regardless of the input scale.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
     E = model
     while True:
         n = valuation(E.disc, p)

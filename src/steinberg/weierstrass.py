@@ -62,6 +62,19 @@ class WeierstrassModel:
         """The primes dividing the discriminant, ascending; factored once per model."""
         return tuple(p for p, _ in factorize(self.disc))
 
+    # Per-model memos: filled on first use and dropped with the model, so
+    # each (model, prime) is classified and counted at most once.
+
+    @cached_property
+    def local_memo(self) -> dict:
+        """`LocalData` by prime, filled by `local_reduction.tate_local`."""
+        return {}
+
+    @cached_property
+    def ap_memo(self) -> dict[int, int]:
+        """a_p by prime, filled by `frobenius.memo_a_p` (behind `a_p` and `ap_table`)."""
+        return {}
+
     def __repr__(self) -> str:
         return f"WeierstrassModel({list(self.a_invariants)})"
 

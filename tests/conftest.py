@@ -13,3 +13,23 @@ def E():
 def Eprime():
     """Conductor-1406 curve with signs (+1, +1, -1) at (2, 19, 37)."""
     return make_model(1, -1, 1, -1191, 507615)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The primes given to the point-count kernel while the test runs.
+
+    Every caller reads `frobenius.count_reduced_points` at call time
+    (`tate_local` imports it when it needs it), so one rebinding sees them all.
+    """
+    import steinberg.frobenius as frobenius
+
+    kernel = frobenius.count_reduced_points
+    calls = []
+
+    def counting(ai, p):
+        calls.append(p)
+        return kernel(ai, p)
+
+    monkeypatch.setattr(frobenius, "count_reduced_points", counting)
+    return calls

@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import steinberg
+import steinberg.local_reduction as local_reduction
 from steinberg.cli import run
 
 CURVE_A = "[1,1,1,-614,-5501]"
@@ -57,6 +59,7 @@ def test_usage_errors_exit_2():
         ("ap", CURVE_A, "--bound", "-1"),
         ("check-theorem", CURVE_A, "--p", "4", "--ell", "5"),
         ("check-theorem", CURVE_A, "--p", "19", "--ell", "15"),
+        ("check-theorem", CURVE_A, "--p", "19", "--ell", "5", "--search-bound", "-1"),
         ("sturm", "--level", "0"),
         ("sturm",),  # missing required --level
         ("certify", CURVE_A, CURVE_B, "--ell", "5", "--twist", "0"),
@@ -101,6 +104,31 @@ def test_localdata_factors_the_discriminant_once(monkeypatch):
     code, _ = invoke_json("localdata", CURVE_A)
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("localdata", CURVE_A),
+        ("check-theorem", CURVE_A, "--p", "19", "--ell", "5"),
+        ("paper-example",),
+    ],
+)
+def test_tate_runs_once_per_model_and_prime(argv, monkeypatch):
+    # every pass of Tate's algorithm starts from the valuation of the
+    # discriminant at p; these models are minimal, so no pass restarts
+    valuation = local_reduction.valuation
+    runs = []
+
+    def counting(n, p):
+        runs.append((n, p))
+        return valuation(n, p)
+
+    monkeypatch.setattr(local_reduction, "valuation", counting)
+    code, _ = invoke_json(*argv)
+    assert code == 0
+    assert {p for _, p in runs} >= {2, 19, 37}
+    assert max(Counter(runs).values()) == 1
 
 
 def test_localdata_single_prime():

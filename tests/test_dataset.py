@@ -4,12 +4,16 @@ import pytest
 
 from steinberg import (
     QuadraticCharacter,
+    certify_congruence,
+    change_coordinates,
     conductor,
     make_model,
     parse_curve_file,
+    primes_up_to,
     scan_level,
     tate_local,
 )
+from steinberg.dataset import CurveRecord
 
 TABLE = """\
 # demonstration curve table
@@ -128,3 +132,49 @@ def test_scan_empty_input():
     assert report.level == 0
     assert report.candidates == ()
     assert report.notes == ("no records supplied",)
+
+# -- screening against certification ---------------------------------------------------
+
+A = (1, 1, 1, -614, -5501)
+B = (1, -1, 1, -1191, 507615)
+COPIES = ((1, 0, 0, 0), (-1, 2, -1, 3), (1, -3, 1, -2))  # (u, r, s, t), u = +-1
+
+
+def sweep_table():
+    """3 copies of A (sign -1 at 19), 3 of B (sign +1), and the quadratic
+    twist of A by 5, whose conductor 1406·25 gets it skipped."""
+    rows = []
+    for name, ai in (("A", A), ("B", B)):
+        for i, urst in enumerate(COPIES):
+            rows.append(CurveRecord(f"{name}{i}", change_coordinates(make_model(*ai), *urst)))
+    base = make_model(*A)
+    rows.append(CurveRecord("twist5", make_model(0, 0, 0, -27 * base.c4 * 25, -54 * base.c6 * 125)))
+    return rows
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
+def test_scan_reports_exactly_the_pairs_that_certify(ell):
+    twist = QuadraticCharacter(19)
+    reference = sweep_table()
+    expected = {}
+    for rec_a in reference[:3]:
+        for rec_b in reference[3:6]:
+            cert = certify_congruence(rec_a.model, rec_b.model, ell, twist)
+            if cert.passed:
+                expected[rec_a.label, rec_b.label] = cert
+    assert (len(expected) == 9) == (ell == 5)
+
+    report = scan_level(sweep_table(), 19, ell, twist)
+    assert [rec.label for rec in report.skipped] == ["twist5"]
+    got = {(pair.label_a, pair.label_b): pair.certificate for pair in report.candidates}
+    assert got == expected
+
+
+def test_scan_counts_each_curve_at_most_once_and_stops_refuted_pairs_early(kernel_calls):
+    twist = QuadraticCharacter(19)
+    scan_level(sweep_table(), 19, 3, twist)  # every pair fails at a small prime
+    assert 0 < len(kernel_calls) < 100
+    kernel_calls.clear()
+    report = scan_level(sweep_table(), 19, 5, twist)  # all 9 pairs pass
+    assert len(report.candidates) == 9
+    assert len(kernel_calls) <= 6 * len(primes_up_to(7220))

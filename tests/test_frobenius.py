@@ -14,6 +14,7 @@ from steinberg import (
     is_prime,
     make_model,
     primes_up_to,
+    tate_local,
 )
 from steinberg.frobenius import count_reduced_points
 
@@ -200,3 +201,45 @@ def test_ap_table_serialization(E):
     data = ap_table(E, 10).to_dict()
     assert data["bound"] == 10
     assert data["entries"] == [[2, 1], [3, 2], [5, 3], [7, 4]]
+
+
+# -- the per-model memo ----------------------------------------------------------
+
+A = (1, 1, 1, -614, -5501)
+
+
+def test_ap_table_reads_a_prefix_of_the_memo():
+    fresh_500 = ap_table(make_model(*A), 500).entries
+    fresh_2000 = ap_table(make_model(*A), 2000).entries
+    grown = make_model(*A)
+    assert ap_table(grown, 500).entries == fresh_500
+    assert ap_table(grown, 2000).entries == fresh_2000
+    shrunk = make_model(*A)
+    assert ap_table(shrunk, 2000).entries == fresh_2000
+    assert ap_table(shrunk, 500).entries == fresh_500
+
+
+def test_memo_on_a_non_minimal_model_holds_the_minimal_traces():
+    # scaled by u = 5: 5^12 divides the discriminant, yet the curve has good
+    # reduction at 5, which the memo must take from Tate's algorithm
+    scaled = tuple(a * 5 ** k for a, k in zip(A, (1, 2, 3, 4, 6)))
+    model = make_model(*scaled)
+    assert 5 in model.bad_primes
+    ap_table(model, 2000)
+    independent = make_model(*scaled)
+    assert model.ap_memo == {p: tate_local(independent, p).a_p for p in primes_up_to(2000)}
+    assert model.ap_memo[5] == tate_local(make_model(*A), 5).a_p == 3
+
+
+def test_memo_belongs_to_one_model_object(kernel_calls):
+    first = make_model(*A)
+    ap_table(first, 300)
+    counted = len(kernel_calls)
+    assert counted > 0
+    ap_table(first, 300)
+    assert a_p(first, 293) == ap_table(first, 300).entries[293]
+    assert len(kernel_calls) == counted
+    second = make_model(*A)
+    assert second == first
+    ap_table(second, 300)
+    assert len(kernel_calls) == 2 * counted
