@@ -10,7 +10,16 @@ congruences checked up to the Sturm bound.
 
 __version__ = "0.1.0"
 
-from .arith import PrimeList, factorize, is_prime, kronecker, primes_up_to, sqrt_mod_p_exists
+from .arith import (
+    PROVEN_PRIME_LIMIT,
+    FactorizationError,
+    PrimeList,
+    factorize,
+    is_prime,
+    kronecker,
+    primes_up_to,
+    sqrt_mod_p_exists,
+)
 from .certificates import (
     Conclusion,
     IrreducibilityCertificate,
@@ -39,7 +48,8 @@ from .weierstrass import WeierstrassModel, change_coordinates, make_model, parse
 
 __all__ = [
     "__version__",
-    "PrimeList", "primes_up_to", "is_prime", "kronecker", "sqrt_mod_p_exists", "factorize",
+    "PrimeList", "primes_up_to", "PROVEN_PRIME_LIMIT", "is_prime", "kronecker", "sqrt_mod_p_exists",
+    "FactorizationError", "factorize",
     "WeierstrassModel", "make_model", "parse_curve", "change_coordinates", "valuation",
     "ReductionType", "LocalData", "tate_local", "conductor", "steinberg_primes",
     "count_points", "count_points_enumeration", "a_p", "ApTable", "ap_table",

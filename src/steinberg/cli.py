@@ -3,7 +3,8 @@
 Every subcommand prints one JSON envelope {command, inputs, result, version}
 on stdout (or a human-readable rendering with --pretty) and exits 0 when the
 requested check passes or certifies, 1 on a mathematical failure, 2 on bad
-usage or malformed input.
+usage or malformed input, including a discriminant or level that `factorize`
+cannot factor into proven primes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import sys
 
 from . import __version__
-from .arith import is_prime
+from .arith import FactorizationError, is_prime
 from .certificates import Conclusion, check_theorem_a, validate_pair
 from .congruence import QuadraticCharacter, certify_congruence, index_gamma0, sturm_bound
 from .dataset import parse_curve_file, scan_level
@@ -39,7 +40,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _prime_arg(name: str, value: int) -> int:
-    if not is_prime(value):
+    try:
+        prime = is_prime(value)
+    except ValueError as exc:
+        raise _UsageError(f"{name}: {exc}") from None
+    if not prime:
         raise _UsageError(f"{name} must be prime, got {value}")
     return value
 
@@ -137,6 +142,11 @@ def _cmd_scan(args):
         raise _UsageError(f"cannot read {args.file}: {exc}") from None
     except ValueError as exc:
         raise _UsageError(f"{args.file}: {exc}") from None
+    for rec in records:  # factor each discriminant up front, to name a line that fails
+        try:
+            rec.model.bad_primes
+        except FactorizationError as exc:
+            raise _UsageError(f"{args.file}: {rec.label}: {exc}") from None
     report = scan_level(records, p, ell, twist)
     inputs = {"file": args.file, "p": p, "ell": ell, "twist": twist.to_dict()}
     return inputs, report.to_dict(), 0 if report.candidates else 1
@@ -281,8 +291,9 @@ def _pretty_certify(result, out):
     if result["status"] == "pass":
         print("status: PASS", file=out)
     else:
-        p, ta, tb = result["counterexample"]
-        print(f"status: FAIL at p={p} (a_p = {ta} vs {tb})", file=out)
+        n, ta, tb = result["counterexample"]
+        var = "p" if is_prime(n) else "n"  # a prime power where the reduction types differ
+        print(f"status: FAIL at {var}={n} (a_{var} = {ta} vs {tb})", file=out)
 
 
 def _pretty_scan(result, out):
@@ -342,7 +353,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     try:
         args = parser.parse_args(argv)
         inputs, result, code = _COMMANDS[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, FactorizationError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     if args.pretty:

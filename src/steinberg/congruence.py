@@ -1,18 +1,19 @@
 """Sturm bounds, quadratic twists, and finite congruence certificates.
 
-A congruence a_p(A) * psi(p) = a_p(B) * psi(p) (mod ell) between the twisted
-coefficient sequences of two curves is certified by checking every prime up
-to the Sturm bound of the ambient twisted level; primes where the twist
-vanishes are excluded and reported.
+A congruence a_n(A) * psi(n) = a_n(B) * psi(n) (mod ell) between the twisted
+coefficient sequences of two curves is certified by checking every n up to
+the Sturm bound of the ambient twisted level that can differ: the primes, and
+the prime powers at primes where exactly one curve has good reduction.
+Primes where the twist vanishes are excluded and reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Callable, Iterable
+from typing import Callable
 
-from .arith import factorize, is_prime, kronecker, primes_up_to
+from .arith import PrimeList, factorize, is_prime, kronecker, primes_up_to
 from .frobenius import ap_table
 from .local_reduction import conductor
 from .record import Record, json_at
@@ -84,7 +85,8 @@ class CongruenceCertificate(Record):
     """Outcome of a finite congruence check between two coefficient sequences.
 
     curve_a / curve_b are the a-invariant tuples; counterexample, when the
-    check fails, is the least offending prime together with both traces.
+    check fails, is the least offending n together with a_n of both curves:
+    a prime, or a prime power at a prime where only one curve is good.
     """
 
     curve_a: tuple[int, int, int, int, int]
@@ -108,31 +110,61 @@ class CongruenceCertificate(Record):
         return super().from_dict({**data, "status": data["status"] == "pass"})
 
 
+def _prime_power_trace(a_q: int, q: int, k: int, good: bool) -> int:
+    """a_{q^k} from a_q: the Hecke recursion at a good prime, a_q^k at a bad one."""
+    if not good:
+        return a_q ** k
+    prev, cur = 1, a_q
+    for _ in range(k - 1):
+        prev, cur = cur, a_q * cur - q * prev
+    return cur
+
+
 def compare_traces(
     trace_a: Callable[[int], int],
     trace_b: Callable[[int], int],
-    primes: Iterable[int],
+    primes: PrimeList,
     ell: int,
     twist: QuadraticCharacter,
+    conductors: tuple[int, int],
 ) -> tuple[int, tuple[int, ...], tuple[int, int, int] | None]:
-    """Compare twist(p)·a_p(A) with twist(p)·a_p(B) mod ell over the primes,
-    in the given (ascending) order, stopping at the first difference.
+    """Compare twist(n)·a_n(A) with twist(n)·a_n(B) mod ell for n up to
+    primes.bound, in ascending order, stopping at the first difference.
 
+    a_n is multiplicative, and agreement at a prime q carries over to every
+    q^k when both curves are good at q (the same Hecke recursion) or both are
+    bad (a_{q^k} = a_q^k).  So n runs over the primes, plus the powers q^k
+    (k >= 2) of each prime q that divides exactly one of the two conductors.
     trace_a and trace_b map a prime to its a_p.  Returns how many primes were
     compared, the primes skipped because the twist vanishes there, and
-    (p, a_p(A), a_p(B)) at the first mismatch, or None.
+    (n, a_n(A), a_n(B)) at the first mismatch, or None.
     """
+    level_a, level_b = conductors
+    powers = {}  # q^k -> (q, k)
+    for q in primes:
+        if q * q > primes.bound:
+            break
+        if (level_a % q == 0) != (level_b % q == 0) and twist(q) != 0:
+            k, qk = 2, q * q
+            while qk <= primes.bound:
+                powers[qk] = (q, k)
+                k, qk = k + 1, qk * q
     excluded = []
     checked = 0
-    for p in primes:
-        chi = twist(p)
+    for n in sorted([*primes, *powers]) if powers else primes:
+        chi = twist(n)
         if chi == 0:
-            excluded.append(p)
+            excluded.append(n)
             continue
-        checked += 1
-        ta, tb = trace_a(p), trace_b(p)
+        if n in powers:
+            q, k = powers[n]
+            ta = _prime_power_trace(trace_a(q), q, k, level_a % q != 0)
+            tb = _prime_power_trace(trace_b(q), q, k, level_b % q != 0)
+        else:
+            checked += 1
+            ta, tb = trace_a(n), trace_b(n)
         if chi * (ta - tb) % ell != 0:
-            return checked, tuple(excluded), (p, ta, tb)
+            return checked, tuple(excluded), (n, ta, tb)
     return checked, tuple(excluded), None
 
 
@@ -142,22 +174,22 @@ def certify_congruence(
     ell: int,
     twist: QuadraticCharacter,
 ) -> CongruenceCertificate:
-    """Check psi(p)·a_p(A) = psi(p)·a_p(B) (mod ell) for all primes p up to
-    the Sturm bound of the common twisted level.
+    """Check psi(n)·a_n(A) = psi(n)·a_n(B) (mod ell) for all n up to the
+    Sturm bound of the common twisted level, through `compare_traces`.
 
     Primes with psi(p) = 0 are excluded from the comparison and listed in the
-    certificate.  Primes are scanned in increasing order, so a failure
-    reports the least counterexample.
+    certificate.  n is scanned in increasing order, so a failure reports the
+    least counterexample.
     """
     if not is_prime(ell):
         raise ValueError(f"ell = {ell} is not prime")
-    level = lcm(conductor(model_a), conductor(model_b))
-    M = twisted_level(level, twist.modulus)
+    levels = conductor(model_a), conductor(model_b)
+    M = twisted_level(lcm(*levels), twist.modulus)
     bound = sturm_bound(M, 2)
     table_a = ap_table(model_a, bound).entries
     table_b = ap_table(model_b, bound).entries
     checked, excluded, counterexample = compare_traces(
-        table_a.__getitem__, table_b.__getitem__, primes_up_to(bound), ell, twist
+        table_a.__getitem__, table_b.__getitem__, primes_up_to(bound), ell, twist, levels
     )
 
     return CongruenceCertificate(

@@ -145,7 +145,12 @@ def scan_level(
         primes = primes_up_to(sturm_bound(twisted_level(level, twist.modulus), 2))
     for rec_a, rec_b in pairs:
         *_, counterexample = compare_traces(
-            partial(memo_a_p, rec_a.model), partial(memo_a_p, rec_b.model), primes, ell, twist
+            partial(memo_a_p, rec_a.model),
+            partial(memo_a_p, rec_b.model),
+            primes,
+            ell,
+            twist,
+            (level, level),
         )
         if counterexample is None:
             cert = certify_congruence(rec_a.model, rec_b.model, ell, twist)

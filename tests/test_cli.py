@@ -14,6 +14,14 @@ from steinberg.cli import run
 CURVE_A = "[1,1,1,-614,-5501]"
 CURVE_B = "[1,-1,1,-1191,507615]"
 CURVE_11A1 = "[0,-1,1,-10,-20]"
+# 15a1 and its quadratic twist by -7 (conductor 735 = 15 * 7^2)
+CURVE_15A1 = "[1,1,1,-10,-10]"
+CURVE_15A1_TWIST = "[0,0,0,-636363,90368838]"
+# the least strong pseudoprimes to the first 12 and 13 prime bases
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+# discriminant -P * (432 P + 1), both factors prime, with 20 and 22 digits
+HOSTILE_P = 10000000000000000381
 
 
 def invoke(*argv):
@@ -66,6 +74,16 @@ def test_usage_errors_exit_2():
         ("certify", CURVE_A, CURVE_B, "--ell", "6"),
         ("scan", "/no/such/file.txt", "--p", "19", "--ell", "5"),
         ("no-such-command",),
+        # not prime, or beyond the range where primality is proven
+        ("check-theorem", CURVE_A, "--p", "19", "--ell", str(PSI_12)),
+        ("check-theorem", CURVE_A, "--p", "19", "--ell", str(PSI_13)),
+        ("check-theorem", CURVE_A, "--p", str(PSI_13), "--ell", "5"),
+        ("localdata", CURVE_A, "--prime", str(PSI_13)),
+        ("certify", CURVE_A, CURVE_B, "--ell", str(PSI_13)),
+        ("scan", "/no/such/file.txt", "--p", "19", "--ell", str(PSI_12)),
+        # levels that cannot be factored into proven primes
+        ("sturm", "--level", "3317044064679887385962123"),
+        ("sturm", "--level", str(1009 ** 334)),
     ]
     for argv in cases:
         code, out, err = invoke(*argv)
@@ -88,6 +106,28 @@ def test_localdata_default_runs_all_bad_primes():
     assert rows[37]["reduction_type"] == "nonsplit_multiplicative"
     assert [rows[p]["v_min_disc"] for p in (2, 19, 37)] == [5, 5, 1]
     assert result["steinberg_primes"] == [[2, 1], [19, -1], [37, -1]]
+
+
+def test_localdata_on_a_twist_factors_the_discriminant_once(monkeypatch):
+    # curve A twisted by 1000003: the large prime is found past trial division,
+    # which must not call the public factorize again
+    factorize = steinberg.factorize
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("steinberg.") and getattr(module, "factorize", None) is factorize:
+            monkeypatch.setattr(module, "factorize", counting)
+    E = steinberg.make_model(1, 1, 1, -614, -5501)
+    d = 1_000_003
+    curve = f"[0,0,0,{-27 * E.c4 * d * d},{-54 * E.c6 * d ** 3}]"
+    code, env = invoke_json("localdata", curve)
+    assert code == 0
+    assert [row["p"] for row in env["result"]["local_data"]] == [2, 3, 19, 37, d]
+    assert len(calls) == 1
 
 
 def test_localdata_factors_the_discriminant_once(monkeypatch):
@@ -200,6 +240,20 @@ def test_certify_failure_exits_1():
     assert env["result"]["counterexample"] == [2, 1, -2]
 
 
+def test_certify_compares_prime_powers_where_reduction_types_differ():
+    # 15a1 is good at 7 and its twist by -7 is additive there: a_7 agrees
+    # mod 2, but a_49 is -7 against 0
+    code, env = invoke_json("certify", CURVE_15A1, CURVE_15A1_TWIST, "--ell", "2")
+    assert code == 1
+    result = env["result"]
+    assert (result["twisted_level"], result["sturm_bound"]) == (735, 224)
+    assert result["status"] == "fail"
+    assert result["counterexample"] == [49, -7, 0]
+    code, out, _ = invoke("certify", CURVE_15A1, CURVE_15A1_TWIST, "--ell", "2", "--pretty")
+    assert code == 1
+    assert "status: FAIL at n=49 (a_n = -7 vs 0)" in out
+
+
 # -- scan ------------------------------------------------------------------------------
 
 @pytest.fixture()
@@ -239,6 +293,27 @@ def test_scan_reports_parse_errors_as_usage(tmp_path):
     code, out, err = invoke("scan", str(path), "--p", "19", "--ell", "5")
     assert code == 2
     assert "line 1" in err
+
+
+def test_scan_fails_fast_on_a_discriminant_it_cannot_factor(tmp_path):
+    path = tmp_path / "hostile.txt"
+    path.write_text(
+        f"ex1 {CURVE_A}\nbad [1,0,0,0,{HOSTILE_P}]\nex2 {CURVE_B}\n",
+        encoding="utf-8",
+    )
+    src = os.path.dirname(os.path.dirname(steinberg.__file__))
+    path_env = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "steinberg", "scan", str(path), "--p", "19", "--ell", "5"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path_env),
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "bad: Pollard rho found no factor of a 41-digit cofactor" in proc.stderr
 
 
 # -- the built-in worked example --------------------------------------------------------

@@ -7,7 +7,9 @@ from steinberg import (
     CongruenceCertificate,
     QuadraticCharacter,
     a_p,
+    ap_table,
     certify_congruence,
+    conductor,
     index_gamma0,
     kronecker,
     make_model,
@@ -184,6 +186,86 @@ def test_failing_congruence_is_symmetric(E):
     assert not forward.passed and not backward.passed
     p, ta, tb = forward.counterexample
     assert backward.counterexample == (p, tb, ta)
+
+
+def quadratic_twist(model, d):
+    """The twist by Q(sqrt(d)), as y^2 = x^3 - 27·c4·d^2·x - 54·c6·d^3."""
+    return make_model(0, 0, 0, -27 * model.c4 * d * d, -54 * model.c6 * d ** 3)
+
+
+CURVE_15A1 = make_model(1, 1, 1, -10, -10)
+CURVE_11A1 = make_model(0, -1, 1, -10, -20)
+
+
+def test_prime_powers_are_compared_where_reduction_types_differ():
+    # 15a1 is good at 7 and its twist by -7 (conductor 735) is additive there.
+    # Every a_p agrees mod 2, but a_49 = a_7^2 - 7 = -7 against 0: the forms
+    # are not congruent mod 2, and a certificate over the primes alone would
+    # pass.
+    other = quadratic_twist(CURVE_15A1, -7)
+    assert other.a_invariants == (0, 0, 0, -636363, 90368838)
+    assert (conductor(CURVE_15A1), conductor(other)) == (15, 735)
+    cert = certify_congruence(CURVE_15A1, other, 2, QuadraticCharacter(1))
+    assert (cert.twisted_level_value, cert.sturm_bound_value) == (735, 224)
+    assert not cert.passed
+    assert cert.counterexample == (49, -7, 0)
+    assert cert.primes_checked == 15  # the primes below 49
+    backward = certify_congruence(other, CURVE_15A1, 2, QuadraticCharacter(1))
+    assert backward.counterexample == (49, 0, -7)
+
+
+def coefficients(model, bound):
+    """a_n for n <= bound, built multiplicatively from a_p: a_{q^k} by the
+    Hecke recursion where the curve is good, as a_q^k where it is bad."""
+    level = conductor(model)
+    ap = ap_table(model, bound).entries
+    a = [0, 1] + [0] * (bound - 1)
+    for n in range(2, bound + 1):
+        q = next(p for p in ap if n % p == 0)
+        m, qk = n, 1
+        while m % q == 0:
+            m, qk = m // q, qk * q
+        if m > 1:
+            a[n] = a[qk] * a[m]
+        elif n == q:
+            a[n] = ap[q]
+        elif level % q == 0:
+            a[n] = ap[q] * a[n // q]
+        else:
+            a[n] = ap[q] * a[n // q] - q * a[n // q // q]
+    return a
+
+
+@pytest.mark.parametrize(
+    "pair, ell, modulus",
+    [
+        ("paper", 5, 19),
+        ("15a1, twist -7", 2, 1),
+        ("15a1, twist -7", 2, -7),  # 7 is excluded, so no power of 7 counts
+        ("11a1, twist -4", 2, 1),  # a_{2^k} is even on both sides
+        ("11a1, twist -4", 2, -4),
+        ("A, 11a1", 5, 1),
+    ],
+)
+def test_certificate_agrees_with_every_coefficient_up_to_the_bound(E, Eprime, pair, ell, modulus):
+    curves = {
+        "paper": (E, Eprime),
+        "15a1, twist -7": (CURVE_15A1, quadratic_twist(CURVE_15A1, -7)),
+        "11a1, twist -4": (CURVE_11A1, quadratic_twist(CURVE_11A1, -4)),
+        "A, 11a1": (E, CURVE_11A1),
+    }
+    A, B = curves[pair]
+    cert = certify_congruence(A, B, ell, QuadraticCharacter(modulus))
+    bound = cert.sturm_bound_value
+    a, b = coefficients(A, bound), coefficients(B, bound)
+    least = next(
+        (n for n in range(1, bound + 1) if kronecker(n, modulus) * (a[n] - b[n]) % ell),
+        None,
+    )
+    if least is None:
+        assert cert.passed
+    else:
+        assert cert.counterexample == (least, a[least], b[least])
 
 
 def test_congruence_rejects_composite_ell(E, Eprime):
