@@ -11,14 +11,15 @@ congruences checked up to the Sturm bound.
 __version__ = "0.1.0"
 
 from .arith import (
+    MAX_SIEVE_BOUND,
     PROVEN_PRIME_LIMIT,
     FactorizationError,
     PrimeList,
+    SieveLimitError,
     factorize,
     is_prime,
     kronecker,
     primes_up_to,
-    sqrt_mod_p_exists,
 )
 from .certificates import (
     Conclusion,
@@ -39,7 +40,6 @@ from .congruence import (
     index_gamma0,
     reverify_congruence,
     sturm_bound,
-    twisted_level,
 )
 from .dataset import CurveRecord, ScanReport, parse_curve_file, scan_level
 from .frobenius import ApTable, a_p, ap_table, count_points, count_points_enumeration
@@ -48,12 +48,13 @@ from .weierstrass import WeierstrassModel, change_coordinates, make_model, parse
 
 __all__ = [
     "__version__",
-    "PrimeList", "primes_up_to", "PROVEN_PRIME_LIMIT", "is_prime", "kronecker", "sqrt_mod_p_exists",
+    "PrimeList", "primes_up_to", "MAX_SIEVE_BOUND", "SieveLimitError",
+    "PROVEN_PRIME_LIMIT", "is_prime", "kronecker",
     "FactorizationError", "factorize",
     "WeierstrassModel", "make_model", "parse_curve", "change_coordinates", "valuation",
     "ReductionType", "LocalData", "tate_local", "conductor", "steinberg_primes",
     "count_points", "count_points_enumeration", "a_p", "ApTable", "ap_table",
-    "QuadraticCharacter", "index_gamma0", "sturm_bound", "twisted_level",
+    "QuadraticCharacter", "index_gamma0", "sturm_bound",
     "CongruenceCertificate", "certify_congruence", "reverify_congruence",
     "IrreducibilityCertificate", "irreducibility_certificate", "verify_irreducibility_certificate",
     "unramified_at", "Conclusion", "TheoremVerdict", "check_theorem_a", "reverify_verdict",

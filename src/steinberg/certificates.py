@@ -52,6 +52,25 @@ class IrreducibilityCertificate(Record):
     nonresidue_witness: bool
 
 
+def _witness(model: WeierstrassModel, ell: int, q: int) -> IrreducibilityCertificate | None:
+    """The certificate at the good prime q, or None when a_q^2 - 4q is a
+    square mod ell."""
+    aq = a_p(model, q)
+    disc = (aq * aq - 4 * q) % ell
+    if kronecker(disc, ell) != -1:
+        return None
+    return IrreducibilityCertificate(
+        curve=model.a_invariants,
+        ell=ell,
+        q=q,
+        a_q=aq,
+        trace_mod_ell=aq % ell,
+        det_mod_ell=q % ell,
+        disc_mod_ell=disc,
+        nonresidue_witness=True,
+    )
+
+
 def irreducibility_certificate(
     model: WeierstrassModel, ell: int, search_bound: int = 100
 ) -> IrreducibilityCertificate | None:
@@ -65,44 +84,24 @@ def irreducibility_certificate(
         raise ValueError(f"ell must be an odd prime, got {ell}")
     N = conductor(model)
     for q in primes_up_to(search_bound):
-        if (ell * N) % q == 0:
-            continue
-        aq = a_p(model, q)
-        disc = (aq * aq - 4 * q) % ell
-        if kronecker(disc, ell) == -1:
-            return IrreducibilityCertificate(
-                curve=model.a_invariants,
-                ell=ell,
-                q=q,
-                a_q=aq,
-                trace_mod_ell=aq % ell,
-                det_mod_ell=q % ell,
-                disc_mod_ell=disc,
-                nonresidue_witness=True,
-            )
+        if (ell * N) % q != 0:
+            cert = _witness(model, ell, q)
+            if cert is not None:
+                return cert
     return None
 
 
 def verify_irreducibility_certificate(
     model: WeierstrassModel, cert: IrreducibilityCertificate
 ) -> bool:
-    """Recompute every field of the certificate from the model."""
+    """Recompute the certificate at its prime q from the model and compare."""
     if cert.curve != model.a_invariants:
         return False
     if not is_prime(cert.q) or not is_prime(cert.ell) or cert.ell == 2:
         return False
     if (cert.ell * conductor(model)) % cert.q == 0:
         return False
-    aq = a_p(model, cert.q)
-    disc = (aq * aq - 4 * cert.q) % cert.ell
-    return (
-        aq == cert.a_q
-        and cert.trace_mod_ell == aq % cert.ell
-        and cert.det_mod_ell == cert.q % cert.ell
-        and cert.disc_mod_ell == disc
-        and cert.nonresidue_witness
-        and kronecker(disc, cert.ell) == -1
-    )
+    return _witness(model, cert.ell, cert.q) == cert
 
 
 def unramified_at(model: WeierstrassModel, p: int, ell: int) -> bool:

@@ -4,7 +4,8 @@ Every subcommand prints one JSON envelope {command, inputs, result, version}
 on stdout (or a human-readable rendering with --pretty) and exits 0 when the
 requested check passes or certifies, 1 on a mathematical failure, 2 on bad
 usage or malformed input, including a discriminant or level that `factorize`
-cannot factor into proven primes.
+cannot factor into proven primes and a bound (an `ap` bound, a witness search
+bound or a Sturm bound) above the sieve limit `arith.MAX_SIEVE_BOUND`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import sys
 
 from . import __version__
-from .arith import FactorizationError, is_prime
+from .arith import FactorizationError, SieveLimitError, is_prime
 from .certificates import Conclusion, check_theorem_a, validate_pair
 from .congruence import QuadraticCharacter, certify_congruence, index_gamma0, sturm_bound
 from .dataset import parse_curve_file, scan_level
@@ -353,7 +354,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     try:
         args = parser.parse_args(argv)
         inputs, result, code = _COMMANDS[args.command](args)
-    except (_UsageError, FactorizationError) as exc:
+    except (_UsageError, FactorizationError, SieveLimitError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     if args.pretty:

@@ -23,7 +23,6 @@ __all__ = [
     "QuadraticCharacter",
     "index_gamma0",
     "sturm_bound",
-    "twisted_level",
     "CongruenceCertificate",
     "compare_traces",
     "certify_congruence",
@@ -43,6 +42,17 @@ class QuadraticCharacter(Record):
 
     def __call__(self, n: int) -> int:
         return kronecker(n, self.modulus)
+
+    def level(self, N: int) -> int:
+        """Level containing the twist of a level-N form by this character:
+        lcm(N, m^2) for a modulus m of the character (Shimura, Prop. 3.64).
+        m = |d|, except m = 4|d| when d = 2 (mod 4): kronecker(n, 2) depends
+        on n mod 8."""
+        if N < 1:
+            raise ValueError("level must be positive")
+        d = self.modulus
+        m = 4 * abs(d) if d % 4 == 2 else abs(d)
+        return lcm(N, m * m)
 
 
 def index_gamma0(M: int) -> int:
@@ -65,19 +75,6 @@ def sturm_bound(M: int, k: int) -> int:
     if k < 1:
         raise ValueError("weight must be positive")
     return k * index_gamma0(M) // 12
-
-
-def twisted_level(N: int, d: int) -> int:
-    """Level containing the twist of a level-N form by n -> kronecker(n, d):
-    lcm(N, m^2) for a modulus m of that character (Shimura, Prop. 3.64).
-    m = |d|, except m = 4|d| when d = 2 (mod 4): kronecker(n, 2) depends on
-    n mod 8."""
-    if N < 1:
-        raise ValueError("level must be positive")
-    if d == 0:
-        raise ValueError("twist modulus must be nonzero")
-    m = 4 * abs(d) if d % 4 == 2 else abs(d)
-    return lcm(N, m * m)
 
 
 @dataclass(frozen=True)
@@ -184,7 +181,7 @@ def certify_congruence(
     if not is_prime(ell):
         raise ValueError(f"ell = {ell} is not prime")
     levels = conductor(model_a), conductor(model_b)
-    M = twisted_level(lcm(*levels), twist.modulus)
+    M = twist.level(lcm(*levels))
     bound = sturm_bound(M, 2)
     table_a = ap_table(model_a, bound).entries
     table_b = ap_table(model_b, bound).entries

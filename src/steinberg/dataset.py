@@ -18,7 +18,6 @@ from .congruence import (
     certify_congruence,
     compare_traces,
     sturm_bound,
-    twisted_level,
 )
 from .frobenius import memo_a_p
 from .local_reduction import conductor, tate_local
@@ -142,7 +141,7 @@ def scan_level(
     if pairs:
         # every eligible curve has conductor `level`, so this is the bound
         # certify_congruence uses for each pair
-        primes = primes_up_to(sturm_bound(twisted_level(level, twist.modulus), 2))
+        primes = primes_up_to(sturm_bound(twist.level(level), 2))
     for rec_a, rec_b in pairs:
         *_, counterexample = compare_traces(
             partial(memo_a_p, rec_a.model),

@@ -51,17 +51,6 @@ def _enumerate_reduced(ai: tuple[int, int, int, int, int], p: int) -> int:
     return count
 
 
-def _short_model(ai: tuple[int, int, int, int, int], p: int) -> tuple[int, int]:
-    """(A, B) mod p of y^2 = x^3 + A·x + B, isomorphic to the input for p > 3."""
-    a1, a2, a3, a4, a6 = ai
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    c4 = b2 * b2 - 24 * b4
-    c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
-    return -27 * c4 % p, -54 * c6 % p
-
-
 def _legendre_sum(A: int, B: int, p: int) -> int:
     is_square = bytearray(p)
     for z in range(1, p):
@@ -162,15 +151,15 @@ def _shanks_mestre(A: int, B: int, p: int) -> int:
     raise ArithmeticError(f"no single point count mod {p} for y^2 = x^3 + {A}x + {B}")
 
 
-def count_reduced_points(ai: tuple[int, int, int, int, int], p: int) -> int:
-    """#E(F_p) for the reduction of the given coefficients (must be nonsingular).
+def count_reduced_points(model: WeierstrassModel, p: int) -> int:
+    """#E(F_p) for the reduction of the model at p (must be nonsingular).
 
     This is the raw kernel: it trusts the caller about good reduction at p
     and about the model being p-minimal.
     """
     if p <= 3:
-        return _enumerate_reduced(ai, p)
-    A, B = _short_model(ai, p)
+        return _enumerate_reduced(model.a_invariants, p)
+    A, B = -27 * model.c4 % p, -54 * model.c6 % p
     if p <= _MESTRE_BOUND:
         return _legendre_sum(A, B, p)
     return _shanks_mestre(A, B, p)
@@ -208,7 +197,7 @@ def memo_a_p(model: WeierstrassModel, p: int) -> int:
         if p in model.bad_primes:
             value = tate_local(model, p).a_p
         else:
-            value = p + 1 - count_reduced_points(model.a_invariants, p)
+            value = p + 1 - count_reduced_points(model, p)
         memo[p] = value
     return value
 

@@ -173,7 +173,7 @@ def _tate(model: WeierstrassModel, p: int) -> LocalData:
         if n == 0:
             from .frobenius import count_reduced_points  # deferred: frobenius imports us
 
-            npoints = count_reduced_points(E.a_invariants, p)
+            npoints = count_reduced_points(E, p)
             return LocalData(p, ReductionType.GOOD, 0, 0, p + 1 - npoints)
 
         E = _move_singular_point(E, p)

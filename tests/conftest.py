@@ -27,9 +27,9 @@ def kernel_calls(monkeypatch):
     kernel = frobenius.count_reduced_points
     calls = []
 
-    def counting(ai, p):
+    def counting(model, p):
         calls.append(p)
-        return kernel(ai, p)
+        return kernel(model, p)
 
     monkeypatch.setattr(frobenius, "count_reduced_points", counting)
     return calls

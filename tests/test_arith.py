@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 import steinberg.arith as arith
 from steinberg import (
+    MAX_SIEVE_BOUND,
     PROVEN_PRIME_LIMIT,
     FactorizationError,
+    SieveLimitError,
     factorize,
     is_prime,
     kronecker,
     make_model,
     primes_up_to,
-    sqrt_mod_p_exists,
 )
 
 # the least strong pseudoprimes to the first 12 and 13 prime bases (Sorenson-Webster)
@@ -104,6 +105,13 @@ def test_primes_at_the_sturm_scale():
 def test_primes_up_to_rejects_negative_bound():
     with pytest.raises(ValueError):
         primes_up_to(-1)
+
+
+def test_primes_up_to_refuses_a_bound_above_the_limit():
+    assert MAX_SIEVE_BOUND >= 10**6  # LARGE_PRIMES below sieves to 10^6
+    for bound in (MAX_SIEVE_BOUND + 1, 10**12, 10**100):
+        with pytest.raises(SieveLimitError, match="above the sieve limit"):
+            primes_up_to(bound)
 
 
 # -- is_prime ----------------------------------------------------------------
@@ -203,31 +211,6 @@ def test_kronecker_periodic_mod_odd_prime():
         for _ in range(50):
             a = rng.randint(-500, 500)
             assert kronecker(a, p) == kronecker(a + p, p)
-
-
-# -- sqrt_mod_p_exists -------------------------------------------------------
-
-def test_sqrt_mod_p_exists_fixed_values():
-    assert not sqrt_mod_p_exists(2, 5)
-    assert sqrt_mod_p_exists(4, 13)
-    assert sqrt_mod_p_exists(0, 7)
-    assert sqrt_mod_p_exists(19, 19)
-
-
-def test_sqrt_mod_p_exists_matches_exhaustive_squares():
-    for p in (3, 5, 11, 23):
-        squares = {x * x % p for x in range(p)}
-        for a in range(p):
-            assert sqrt_mod_p_exists(a, p) == (a in squares), (a, p)
-
-
-def test_sqrt_mod_p_exists_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        sqrt_mod_p_exists(3, 2)
-    with pytest.raises(ValueError):
-        sqrt_mod_p_exists(3, 10)
-    with pytest.raises(ValueError):
-        sqrt_mod_p_exists(3, 9)
 
 
 # -- factorize ---------------------------------------------------------------

@@ -201,3 +201,21 @@ def test_validate_pair_rejects_failing_certificate(E, Eprime, isogeny_curve):
     assert not failing.passed
     with pytest.raises(ValueError, match="not a passing"):
         validate_pair(E, Eprime, 19, 5, failing)
+
+
+def test_validate_pair_rejects_a_prime_that_is_not_steinberg(E, Eprime, pair_certificate):
+    # both curves have good reduction at 3
+    with pytest.raises(ValueError, match="not a Steinberg prime"):
+        validate_pair(E, Eprime, 3, 5, pair_certificate)
+
+
+def test_validate_pair_reports_both_inconsistencies(E, Eprime, pair_certificate):
+    # A and B are not congruent mod 7 after the twist by 19, as the reverse
+    # implication predicts: 19 = 5 (mod 7) and 7 does not divide
+    # v_19(min disc) = 5.  A passing certificate mod 7 has to be built by hand.
+    assert not certify_congruence(E, Eprime, 7, pair_certificate.twist).passed
+    forged = dataclasses.replace(pair_certificate, ell=7)
+    report = validate_pair(E, Eprime, 19, 7, forged)
+    assert not report.consistent
+    assert not report.p_is_minus_one_mod_ell and not report.unramified_at_p
+    assert report.inconsistencies == ("p_is_minus_one_mod_ell", "unramified_at_p")

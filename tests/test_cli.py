@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from collections import Counter
@@ -36,6 +37,20 @@ def invoke_json(*argv):
     return code, json.loads(out)
 
 
+def invoke_module(*argv, **kwargs):
+    """`python -m steinberg argv` in a child process, on the package this test
+    imported, installed or not."""
+    src = os.path.dirname(os.path.dirname(steinberg.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "steinberg", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        **kwargs,
+    )
+
+
 # -- envelope and exit codes ---------------------------------------------------
 
 def test_envelope_structure():
@@ -69,10 +84,12 @@ def test_usage_errors_exit_2():
         ("check-theorem", CURVE_A, "--p", "19", "--ell", "15"),
         ("check-theorem", CURVE_A, "--p", "19", "--ell", "5", "--search-bound", "-1"),
         ("sturm", "--level", "0"),
+        ("sturm", "--level", "11", "--weight", "0"),
         ("sturm",),  # missing required --level
         ("certify", CURVE_A, CURVE_B, "--ell", "5", "--twist", "0"),
         ("certify", CURVE_A, CURVE_B, "--ell", "6"),
         ("scan", "/no/such/file.txt", "--p", "19", "--ell", "5"),
+        ("scan", "/no/such/file.txt", "--p", "19", "--ell", "5", "--twist", "0"),
         ("no-such-command",),
         # not prime, or beyond the range where primality is proven
         ("check-theorem", CURVE_A, "--p", "19", "--ell", str(PSI_12)),
@@ -301,19 +318,35 @@ def test_scan_fails_fast_on_a_discriminant_it_cannot_factor(tmp_path):
         f"ex1 {CURVE_A}\nbad [1,0,0,0,{HOSTILE_P}]\nex2 {CURVE_B}\n",
         encoding="utf-8",
     )
-    src = os.path.dirname(os.path.dirname(steinberg.__file__))
-    path_env = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "steinberg", "scan", str(path), "--p", "19", "--ell", "5"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path_env),
-        timeout=10,
-    )
+    proc = invoke_module("scan", str(path), "--p", "19", "--ell", "5", timeout=10)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert "bad: Pollard rho found no factor of a 41-digit cofactor" in proc.stderr
+
+
+def _limit_address_space():
+    # 1 GiB: a sieve that allocates before checking its bound fails here
+    # with MemoryError instead of taking the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ap", CURVE_A, "--bound", str(10**12)),
+        ("check-theorem", CURVE_A, "--p", "19", "--ell", "5", "--search-bound", str(10**12)),
+        # twisted level lcm(1406, 1000003^2), Sturm bound about 4e14
+        ("certify", CURVE_A, CURVE_B, "--ell", "5", "--twist", "1000003"),
+    ],
+    ids=["ap", "check-theorem", "certify"],
+)
+def test_bounds_above_the_sieve_limit_exit_2(argv):
+    proc = invoke_module(*argv, timeout=30, preexec_fn=_limit_address_space)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert f"above the sieve limit {steinberg.MAX_SIEVE_BOUND}" in proc.stderr
 
 
 # -- the built-in worked example --------------------------------------------------------
@@ -386,15 +419,7 @@ def test_pretty_paper_example_conductor_comes_from_local_data():
 # -- module execution ------------------------------------------------------------------------
 
 def test_module_invocation():
-    # the child process runs the package this test imported, installed or not
-    src = os.path.dirname(os.path.dirname(steinberg.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "steinberg", "sturm", "--level", "11"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = invoke_module("sturm", "--level", "11")
     assert proc.returncode == 0
     env = json.loads(proc.stdout)
     assert env["result"]["sturm_bound"] == 2

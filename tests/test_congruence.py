@@ -16,7 +16,6 @@ from steinberg import (
     primes_up_to,
     reverify_congruence,
     sturm_bound,
-    twisted_level,
 )
 
 
@@ -100,12 +99,12 @@ def test_sturm_bound_rejects_bad_weight():
 
 
 def test_twisted_level_golden():
-    assert twisted_level(1406, 19) == 26714
-    assert twisted_level(11, 1) == 11
-    assert twisted_level(11, 3) == 99
+    assert QuadraticCharacter(19).level(1406) == 26714
+    assert QuadraticCharacter(1).level(11) == 11
+    assert QuadraticCharacter(3).level(11) == 99
     # kronecker(n, 2) has period 8, so the twist by 2 lives at lcm(12, 8^2)
-    assert twisted_level(12, 2) == 192
-    assert twisted_level(1406, 38) == 854848  # 2^6 * 19^2 * 37
+    assert QuadraticCharacter(2).level(12) == 192
+    assert QuadraticCharacter(38).level(1406) == 854848  # 2^6 * 19^2 * 37
 
 
 def test_twisted_level_squares_a_period_of_the_character():
@@ -118,16 +117,17 @@ def test_twisted_level_squares_a_period_of_the_character():
             q for q in range(1, 8 * abs(d) + 1)
             if all(values[i] == values[i + q] for i in range(len(values) - q))
         )
-        m = isqrt(twisted_level(1, d))  # the modulus twisted_level squares
-        assert m * m == twisted_level(1, d)
+        level = QuadraticCharacter(d).level(1)
+        m = isqrt(level)  # the modulus the level squares
+        assert m * m == level
         assert m % period == 0, (d, period, m)
 
 
 def test_twisted_level_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        twisted_level(0, 19)
+        QuadraticCharacter(19).level(0)
     with pytest.raises(ValueError):
-        twisted_level(11, 0)
+        QuadraticCharacter(0)
 
 
 # -- the certified congruence -------------------------------------------------------

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import steinberg.local_reduction as local_reduction
 from steinberg import (
     LocalData,
     ReductionType,
@@ -81,6 +82,43 @@ def test_wild_conductor_exponents():
     assert tate_local(make_model(0, 1, 0, -3, 1), 2).f_p == 8
     assert tate_local(make_model(0, 0, 1, -30, 63), 3).f_p == 3
     assert tate_local(make_model(0, 0, 0, -11, -14), 2).f_p == 5
+
+
+# Papadopoulos's table at p >= 5: on a p-minimal model the Kodaira type is
+# read off (v(c4), v(c6), v(disc)); I_m* is (2, 3, 6 + m) and III* is
+# (3, >= 5, 9), both additive with f_p = 2.  Short models
+# y^2 = x^3 + A·x + B have v(c4) = v(A) and v(c6) = v(B) there.  III* comes
+# from A = p^3, B = p^5.  A = +-p^2, B = +-p^3 give disc p^6·(4 +- 27) with
+# 4 +- 27 in {31, -23}, so never I_m* at 5 or 7; I_m* instead perturbs the
+# double root of x^3 - 3x + 2 = (x - 1)^2 (x + 2): A = -3p^2,
+# B = p^3·(2 + p^m) has disc -16·27·p^(6+m)·(4 + p^m).
+def _short_additive_cases():
+    for p in (5, 7):
+        yield pytest.param(p, p ** 3, p ** 5, (3, 5, 9), None, id=f"III*-at-{p}")
+        for m in (1, 2, 3):
+            row = (2, 3, 6 + m)
+            yield pytest.param(p, -3 * p * p, p ** 3 * (2 + p ** m), row, m, id=f"I{m}*-at-{p}")
+
+
+@pytest.mark.parametrize("p, A, B, row, m", _short_additive_cases())
+def test_additive_types_at_p_5_and_7_match_papadopoulos(p, A, B, row, m, monkeypatch):
+    # the I_m* chain ends on the Y side for odd m and on the X side for even m
+    lengths = []
+    instar_length = local_reduction._instar_length
+
+    def spy(E, q):
+        lengths.append(instar_length(E, q))
+        return lengths[-1]
+
+    monkeypatch.setattr(local_reduction, "_instar_length", spy)
+    model = make_model(0, 0, 0, A, B)
+    assert (valuation(model.c4, p), valuation(model.c6, p), valuation(model.disc, p)) == row
+    data = tate_local(model, p)
+    assert data == LocalData(p, ReductionType.ADDITIVE, row[2], 2, 0)
+    assert lengths == ([] if m is None else [m])
+    # rescaled by u = p: the same LocalData after one restart
+    big = make_model(0, 0, 0, A * p ** 4, B * p ** 6)
+    assert tate_local(big, p) == data
 
 
 def test_non_minimal_models_classify_like_minimal(E):
