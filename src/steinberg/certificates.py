@@ -53,8 +53,10 @@ class IrreducibilityCertificate(Record):
 
 
 def _witness(model: WeierstrassModel, ell: int, q: int) -> IrreducibilityCertificate | None:
-    """The certificate at the good prime q, or None when a_q^2 - 4q is a
-    square mod ell."""
+    """The certificate at the prime q, or None when q divides ell times the
+    conductor or a_q^2 - 4q is a square mod ell."""
+    if q == ell or (q in model.bad_primes and tate_local(model, q).f_p):
+        return None
     aq = a_p(model, q)
     disc = (aq * aq - 4 * q) % ell
     if kronecker(disc, ell) != -1:
@@ -82,12 +84,10 @@ def irreducibility_certificate(
     """
     if ell == 2 or not is_prime(ell):
         raise ValueError(f"ell must be an odd prime, got {ell}")
-    N = conductor(model)
     for q in primes_up_to(search_bound):
-        if (ell * N) % q != 0:
-            cert = _witness(model, ell, q)
-            if cert is not None:
-                return cert
+        cert = _witness(model, ell, q)
+        if cert is not None:
+            return cert
     return None
 
 
@@ -98,8 +98,6 @@ def verify_irreducibility_certificate(
     if cert.curve != model.a_invariants:
         return False
     if not is_prime(cert.q) or not is_prime(cert.ell) or cert.ell == 2:
-        return False
-    if (cert.ell * conductor(model)) % cert.q == 0:
         return False
     return _witness(model, cert.ell, cert.q) == cert
 
@@ -166,6 +164,8 @@ def check_theorem_a(
     to the level, the mod-ell representation irreducible, p = -1 (mod ell),
     and the representation unramified at p.
     """
+    if search_bound < 0:
+        raise ValueError(f"search bound must be nonnegative, got {search_bound}")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if not is_prime(ell):

@@ -3,9 +3,10 @@
 Every subcommand prints one JSON envelope {command, inputs, result, version}
 on stdout (or a human-readable rendering with --pretty) and exits 0 when the
 requested check passes or certifies, 1 on a mathematical failure, 2 on bad
-usage or malformed input, including a discriminant or level that `factorize`
-cannot factor into proven primes and a bound (an `ap` bound, a witness search
-bound or a Sturm bound) above the sieve limit `arith.MAX_SIEVE_BOUND`.
+usage or malformed input.  The library checks every argument it is given, so
+exit 2 is any `ValueError`: a composite p or ell, a negative bound, a zero
+twist, a discriminant or level that `factorize` cannot factor into proven
+primes, a bound above the sieve limit `arith.MAX_SIEVE_BOUND`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import sys
 
 from . import __version__
-from .arith import FactorizationError, SieveLimitError, is_prime
+from .arith import is_prime
 from .certificates import Conclusion, check_theorem_a, validate_pair
 from .congruence import QuadraticCharacter, certify_congruence, index_gamma0, sturm_bound
 from .dataset import parse_curve_file, scan_level
@@ -31,38 +32,14 @@ _EXAMPLE_A = "[1,1,1,-614,-5501]"
 _EXAMPLE_B = "[1,-1,1,-1191,507615]"
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); surface it instead
-        raise _UsageError(message)
-
-
-def _prime_arg(name: str, value: int) -> int:
-    try:
-        prime = is_prime(value)
-    except ValueError as exc:
-        raise _UsageError(f"{name}: {exc}") from None
-    if not prime:
-        raise _UsageError(f"{name} must be prime, got {value}")
-    return value
-
-
-def _curve_arg(text: str):
-    try:
-        return parse_curve(text)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        raise ValueError(message)
 
 
 def _cmd_localdata(args):
-    model = _curve_arg(args.curve)
-    if args.prime is not None:
-        primes = [_prime_arg("--prime", args.prime)]
-    else:
-        primes = model.bad_primes
+    model = parse_curve(args.curve)
+    primes = model.bad_primes if args.prime is None else [args.prime]
     result = {
         "conductor": conductor(model),
         "local_data": [tate_local(model, p).to_dict() for p in primes],
@@ -73,25 +50,19 @@ def _cmd_localdata(args):
 
 
 def _cmd_ap(args):
-    model = _curve_arg(args.curve)
-    if args.bound < 0:
-        raise _UsageError("--bound must be nonnegative")
+    model = parse_curve(args.curve)
     table = ap_table(model, args.bound)
     inputs = {"curve": list(model.a_invariants), "bound": args.bound}
     return inputs, table.to_dict(), 0
 
 
 def _cmd_check_theorem(args):
-    model = _curve_arg(args.curve)
-    p = _prime_arg("--p", args.p)
-    ell = _prime_arg("--ell", args.ell)
-    if args.search_bound < 0:
-        raise _UsageError("--search-bound must be nonnegative")
-    verdict = check_theorem_a(model, p, ell, args.search_bound)
+    model = parse_curve(args.curve)
+    verdict = check_theorem_a(model, args.p, args.ell, args.search_bound)
     inputs = {
         "curve": list(model.a_invariants),
-        "p": p,
-        "ell": ell,
+        "p": args.p,
+        "ell": args.ell,
         "search_bound": args.search_bound,
     }
     code = 0 if verdict.conclusion is Conclusion.EXISTENCE_CERTIFIED else 1
@@ -99,10 +70,6 @@ def _cmd_check_theorem(args):
 
 
 def _cmd_sturm(args):
-    if args.level < 1:
-        raise _UsageError("--level must be positive")
-    if args.weight < 1:
-        raise _UsageError("--weight must be positive")
     result = {
         "level": args.level,
         "weight": args.weight,
@@ -113,43 +80,28 @@ def _cmd_sturm(args):
 
 
 def _cmd_certify(args):
-    model_a = _curve_arg(args.curve_a)
-    model_b = _curve_arg(args.curve_b)
-    ell = _prime_arg("--ell", args.ell)
-    if args.twist == 0:
-        raise _UsageError("--twist must be nonzero")
+    model_a = parse_curve(args.curve_a)
+    model_b = parse_curve(args.curve_b)
     twist = QuadraticCharacter(args.twist)
-    cert = certify_congruence(model_a, model_b, ell, twist)
+    cert = certify_congruence(model_a, model_b, args.ell, twist)
     inputs = {
         "curve_a": list(model_a.a_invariants),
         "curve_b": list(model_b.a_invariants),
-        "ell": ell,
+        "ell": args.ell,
         "twist": twist.to_dict(),
     }
     return inputs, cert.to_dict(), 0 if cert.passed else 1
 
 
 def _cmd_scan(args):
-    p = _prime_arg("--p", args.p)
-    ell = _prime_arg("--ell", args.ell)
-    modulus = args.twist if args.twist is not None else p
-    if modulus == 0:
-        raise _UsageError("--twist must be nonzero")
-    twist = QuadraticCharacter(modulus)
+    twist = QuadraticCharacter(args.p if args.twist is None else args.twist)
     try:
         with open(args.file, encoding="utf-8") as handle:
             records = parse_curve_file(handle)
     except OSError as exc:
-        raise _UsageError(f"cannot read {args.file}: {exc}") from None
-    except ValueError as exc:
-        raise _UsageError(f"{args.file}: {exc}") from None
-    for rec in records:  # factor each discriminant up front, to name a line that fails
-        try:
-            rec.model.bad_primes
-        except FactorizationError as exc:
-            raise _UsageError(f"{args.file}: {rec.label}: {exc}") from None
-    report = scan_level(records, p, ell, twist)
-    inputs = {"file": args.file, "p": p, "ell": ell, "twist": twist.to_dict()}
+        raise ValueError(f"cannot read {args.file}: {exc}") from None
+    report = scan_level(records, args.p, args.ell, twist)
+    inputs = {"file": args.file, "p": args.p, "ell": args.ell, "twist": twist.to_dict()}
     return inputs, report.to_dict(), 0 if report.candidates else 1
 
 
@@ -183,17 +135,6 @@ def _cmd_paper_example(args):
     return inputs, result, 0 if ok else 1
 
 
-_COMMANDS = {
-    "localdata": _cmd_localdata,
-    "ap": _cmd_ap,
-    "check-theorem": _cmd_check_theorem,
-    "sturm": _cmd_sturm,
-    "certify": _cmd_certify,
-    "scan": _cmd_scan,
-    "paper-example": _cmd_paper_example,
-}
-
-
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="human-readable output instead of JSON")
@@ -204,34 +145,41 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("localdata", parents=[common], help="reduction data at the bad primes")
     sp.add_argument("curve", help="curve as [a1,a2,a3,a4,a6]")
     sp.add_argument("--prime", type=int, default=None, help="restrict to one prime")
+    sp.set_defaults(handler=_cmd_localdata, render=_pretty_localdata)
 
     sp = sub.add_parser("ap", parents=[common], help="table of a_p up to a bound")
     sp.add_argument("curve")
     sp.add_argument("--bound", type=int, required=True)
+    sp.set_defaults(handler=_cmd_ap, render=_pretty_ap)
 
     sp = sub.add_parser("check-theorem", parents=[common], help="run the existence test at (p, ell)")
     sp.add_argument("curve")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--search-bound", type=int, default=100)
+    sp.set_defaults(handler=_cmd_check_theorem, render=_pretty_check_theorem)
 
     sp = sub.add_parser("sturm", parents=[common], help="Sturm bound for Gamma_0(level)")
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("--weight", type=int, default=2)
+    sp.set_defaults(handler=_cmd_sturm, render=_pretty_sturm)
 
     sp = sub.add_parser("certify", parents=[common], help="certify a twisted congruence mod ell")
     sp.add_argument("curve_a")
     sp.add_argument("curve_b")
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--twist", type=int, default=1, help="Kronecker modulus of the twist (default trivial)")
+    sp.set_defaults(handler=_cmd_certify, render=_pretty_certify)
 
     sp = sub.add_parser("scan", parents=[common], help="scan a curve table for opposite-sign pairs")
     sp.add_argument("file")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--twist", type=int, default=None, help="Kronecker modulus (default: p)")
+    sp.set_defaults(handler=_cmd_scan, render=_pretty_scan)
 
-    sub.add_parser("paper-example", parents=[common], help="run the built-in worked example end to end")
+    sp = sub.add_parser("paper-example", parents=[common], help="run the built-in worked example end to end")
+    sp.set_defaults(handler=_cmd_paper_example, render=_pretty_paper_example)
     return parser
 
 
@@ -335,17 +283,6 @@ def _pretty_paper_example(result, out):
     print(f"consistent: {cons['consistent']}", file=out)
 
 
-_PRETTY = {
-    "localdata": _pretty_localdata,
-    "ap": _pretty_ap,
-    "check-theorem": _pretty_check_theorem,
-    "sturm": _pretty_sturm,
-    "certify": _pretty_certify,
-    "scan": _pretty_scan,
-    "paper-example": _pretty_paper_example,
-}
-
-
 def run(argv, stdout=None, stderr=None) -> int:
     """Entry point usable in-process; returns the exit code."""
     out = stdout if stdout is not None else sys.stdout
@@ -353,12 +290,12 @@ def run(argv, stdout=None, stderr=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        inputs, result, code = _COMMANDS[args.command](args)
-    except (_UsageError, FactorizationError, SieveLimitError) as exc:
+        inputs, result, code = args.handler(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=err)
         return 2
     if args.pretty:
-        _PRETTY[args.command](result, out)
+        args.render(result, out)
     else:
         envelope = {
             "command": args.command,

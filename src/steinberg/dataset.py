@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import IO, Iterable
 
-from .arith import primes_up_to
+from .arith import is_prime, primes_up_to
 from .congruence import (
     CongruenceCertificate,
     QuadraticCharacter,
@@ -41,8 +41,9 @@ class CurveRecord:
 
 
 def parse_curve_file(source: str | IO[str]) -> list[CurveRecord]:
-    """Parse a curve table; malformed lines, duplicate labels and singular
-    models are reported with their line number."""
+    """Parse a curve table; malformed lines, duplicate labels, singular
+    models and discriminants that cannot be factored are reported with their
+    line number."""
     text = source.read() if hasattr(source, "read") else source
     records: list[CurveRecord] = []
     seen: set[str] = set()
@@ -58,6 +59,7 @@ def parse_curve_file(source: str | IO[str]) -> list[CurveRecord]:
             raise ValueError(f"line {lineno}: duplicate label {label!r}")
         try:
             model = parse_curve(curve_text)
+            model.bad_primes  # factor the discriminant here, to name a line that fails
         except ValueError as exc:
             raise ValueError(f"line {lineno} ({label}): {exc}") from None
         seen.add(label)
@@ -105,6 +107,9 @@ def scan_level(
     curve's a_p are computed at most once (they are kept on its model), and
     only the pairs that reach the bound are certified and reported.
     """
+    for name, value in (("p", p), ("ell", ell)):
+        if not is_prime(value):
+            raise ValueError(f"{name} = {value} is not prime")
     records = list(records)
     if not records:
         return ScanReport(0, p, ell, twist, (), (), (), ("no records supplied",))

@@ -49,6 +49,31 @@ def test_irreducibility_witness_is_least(E):
         assert not valid, q
 
 
+def test_witness_rule_skips_primes_dividing_ell_times_the_level(E, monkeypatch):
+    import steinberg.certificates as certificates
+
+    calls = []
+    monkeypatch.setattr(certificates, "a_p", lambda model, q: calls.append(q) or a_p(model, q))
+    # a_2^2 - 8 = -7 is a nonresidue mod 5, but 2 divides the level 1406
+    for q in (2, 5, 19, 37):  # 5 is ell, the others divide the level
+        assert certificates._witness(E, 5, q) is None, q
+    assert calls == []
+    cert = irreducibility_certificate(E, 5, 100)
+    assert calls == [3]
+    for q in (2, 5, 19, 37):
+        assert not verify_irreducibility_certificate(E, dataclasses.replace(cert, q=q)), q
+    assert calls == [3]
+
+
+def test_witness_rule_reads_the_conductor_not_the_discriminant(E):
+    # E rescaled by u = 3: 3 divides the discriminant, yet the curve is good there
+    scaled = make_model(*(a * 3**i for a, i in zip(E.a_invariants, (1, 2, 3, 4, 6))))
+    assert 3 in scaled.bad_primes
+    cert = irreducibility_certificate(scaled, 5, 100)
+    assert (cert.q, cert.a_q) == (3, 2)
+    assert verify_irreducibility_certificate(scaled, cert)
+
+
 def test_irreducibility_absent_for_reducible_curve(isogeny_curve):
     assert irreducibility_certificate(isogeny_curve, 5, 1000) is None
 
@@ -143,6 +168,14 @@ def test_verdict_rejects_composite_inputs(E):
         check_theorem_a(E, 4, 5)
     with pytest.raises(ValueError):
         check_theorem_a(E, 19, 15)
+
+
+@pytest.mark.parametrize("ell", [2, 5])
+def test_verdict_rejects_a_negative_search_bound_before_any_work(ell):
+    model = make_model(1, 1, 1, -614, -5501)
+    with pytest.raises(ValueError, match="search bound must be nonnegative"):
+        check_theorem_a(model, 19, ell, -5)
+    assert not {"bad_primes", "local_memo", "ap_memo"} & set(vars(model))
 
 
 def test_verdict_reverification(E):

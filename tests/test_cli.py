@@ -322,7 +322,7 @@ def test_scan_fails_fast_on_a_discriminant_it_cannot_factor(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
-    assert "bad: Pollard rho found no factor of a 41-digit cofactor" in proc.stderr
+    assert "line 2 (bad): Pollard rho found no factor of a 41-digit cofactor" in proc.stderr
 
 
 def _limit_address_space():

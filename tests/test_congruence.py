@@ -1,7 +1,9 @@
 import dataclasses
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from steinberg import (
     CongruenceCertificate,
@@ -254,7 +256,12 @@ def test_certificate_agrees_with_every_coefficient_up_to_the_bound(E, Eprime, pa
         "11a1, twist -4": (CURVE_11A1, quadratic_twist(CURVE_11A1, -4)),
         "A, 11a1": (E, CURVE_11A1),
     }
-    A, B = curves[pair]
+    assert_certificate_matches_coefficients(*curves[pair], ell, modulus)
+
+
+def assert_certificate_matches_coefficients(A, B, ell, modulus):
+    """PASS exactly when no twisted a_n up to the Sturm bound differs mod ell,
+    and otherwise the least n that does."""
     cert = certify_congruence(A, B, ell, QuadraticCharacter(modulus))
     bound = cert.sturm_bound_value
     a, b = coefficients(A, bound), coefficients(B, bound)
@@ -266,6 +273,37 @@ def test_certificate_agrees_with_every_coefficient_up_to_the_bound(E, Eprime, pa
         assert cert.passed
     else:
         assert cert.counterexample == (least, a[least], b[least])
+
+
+BASE_CURVES = {
+    "11a1": CURVE_11A1,
+    "14a1": make_model(1, 0, 1, 4, -6),
+    "15a1": CURVE_15A1,
+    "37a1": make_model(0, 0, 1, -1, 0),
+}
+TWIST_MODULI = (-4, -3, 5, -7, 8)
+# built once, so the a_p each model learns carry over between examples
+TWISTED_CURVES = {(name, d): quadratic_twist(E, d) for name, E in BASE_CURVES.items() for d in TWIST_MODULI}
+
+
+@settings(derandomize=True, deadline=None, max_examples=23)
+@given(
+    base=st.sampled_from(sorted(BASE_CURVES)),
+    d=st.sampled_from(TWIST_MODULI),
+    other=st.sampled_from([None, *sorted(BASE_CURVES)]),  # None: the twist of base by d
+    ell=st.sampled_from([2, 3, 5, 7]),
+    twisted=st.booleans(),
+)
+# about 2% of the pairs first differ at a prime power; pin two of them
+@example(base="14a1", d=-3, other="15a1", ell=3, twisted=True)  # at n = 4
+@example(base="37a1", d=5, other=None, ell=2, twisted=False)  # at n = 25
+def test_certificate_agrees_with_the_coefficients_of_drawn_pairs(base, d, other, ell, twisted):
+    A = BASE_CURVES[base]
+    B = TWISTED_CURVES[base, d] if other is None else BASE_CURVES[other]
+    modulus = d if twisted else 1
+    level = QuadraticCharacter(modulus).level(lcm(conductor(A), conductor(B)))
+    assume(sturm_bound(level, 2) <= 5000)
+    assert_certificate_matches_coefficients(A, B, ell, modulus)
 
 
 def test_congruence_rejects_composite_ell(E, Eprime):

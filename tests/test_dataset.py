@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from steinberg import (
 )
 from steinberg.dataset import CurveRecord
 
+GOLDEN_TABLE = Path(__file__).parent / "golden" / "scan_table.txt"
 TABLE = """\
 # demonstration curve table
 ex1   [1,1,1,-614,-5501]
@@ -63,6 +65,13 @@ def test_parse_rejects_duplicate_labels():
 def test_parse_rejects_singular_model_with_context():
     with pytest.raises(ValueError, match=r"line 2 \(bad\)"):
         parse_curve_file("a [0,-1,1,-10,-20]\nbad [0,0,0,0,0]\n")
+
+
+def test_parse_names_the_line_of_a_discriminant_it_cannot_factor():
+    # discriminant -432 * 1009^668: over 1000 digits left after trial division
+    text = f"a [0,-1,1,-10,-20]\nbig [0,0,0,0,{1009 ** 334}]\n"
+    with pytest.raises(ValueError, match=r"line 2 \(big\): .*more than 1000 digits"):
+        parse_curve_file(text)
 
 
 def test_parse_rejects_malformed_curve_with_context():
@@ -125,6 +134,23 @@ def test_scan_modal_level_tie_breaks_small(records):
     assert sign == tate_local(pair[0].model, 11).a_p
     assert {rec.label for rec in report.skipped} == {"dec2"}
     assert report.candidates == ()
+
+
+@pytest.mark.parametrize("ell", [25, 10, 4, 1, 0, -5])
+def test_scan_rejects_an_ell_that_is_not_prime(ell):
+    records = parse_curve_file(GOLDEN_TABLE.read_text(encoding="utf-8"))
+    with pytest.raises(ValueError, match=f"ell = {ell} is not prime"):
+        scan_level(records, 19, ell, QuadraticCharacter(19))
+
+
+def test_scan_rejects_a_p_that_is_not_prime_before_reading_a_record():
+    def unread():
+        raise AssertionError("a record was read")
+        yield
+
+    for records in ([], unread()):
+        with pytest.raises(ValueError, match="p = 4 is not prime"):
+            scan_level(records, 4, 5, QuadraticCharacter(19))
 
 
 def test_scan_empty_input():
