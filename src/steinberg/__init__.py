@@ -14,7 +14,6 @@ from .arith import (
     MAX_SIEVE_BOUND,
     PROVEN_PRIME_LIMIT,
     FactorizationError,
-    PrimeList,
     SieveLimitError,
     factorize,
     is_prime,
@@ -48,7 +47,7 @@ from .weierstrass import WeierstrassModel, change_coordinates, make_model, parse
 
 __all__ = [
     "__version__",
-    "PrimeList", "primes_up_to", "MAX_SIEVE_BOUND", "SieveLimitError",
+    "primes_up_to", "MAX_SIEVE_BOUND", "SieveLimitError",
     "PROVEN_PRIME_LIMIT", "is_prime", "kronecker",
     "FactorizationError", "factorize",
     "WeierstrassModel", "make_model", "parse_curve", "change_coordinates", "valuation",

@@ -7,12 +7,10 @@ fixed word size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from math import gcd, isqrt
 
 __all__ = [
-    "PrimeList",
     "MAX_SIEVE_BOUND",
     "SieveLimitError",
     "primes_up_to",
@@ -24,20 +22,6 @@ __all__ = [
     "MAX_COFACTOR_DIGITS",
     "factorize",
 ]
-
-
-@dataclass(frozen=True)
-class PrimeList:
-    """All primes <= bound, ascending."""
-
-    bound: int
-    primes: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def __len__(self) -> int:
-        return len(self.primes)
 
 
 # The largest bound the sieve accepts.  At 10^7 it takes 0.7 s and raises
@@ -52,8 +36,8 @@ class SieveLimitError(ValueError):
     """A sieve bound above MAX_SIEVE_BOUND."""
 
 
-def primes_up_to(bound: int) -> PrimeList:
-    """Sieve of Eratosthenes up to and including ``bound``.
+def primes_up_to(bound: int) -> tuple[int, ...]:
+    """The primes <= bound, ascending, by the sieve of Eratosthenes.
 
     Raises SieveLimitError, before allocating anything, when bound exceeds
     MAX_SIEVE_BOUND.
@@ -63,13 +47,13 @@ def primes_up_to(bound: int) -> PrimeList:
     if bound > MAX_SIEVE_BOUND:
         raise SieveLimitError(f"bound {bound} is above the sieve limit {MAX_SIEVE_BOUND}")
     if bound < 2:
-        return PrimeList(bound, ())
+        return ()
     sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
     for q in range(2, isqrt(bound) + 1):
         if sieve[q]:
             sieve[q * q :: q] = bytearray(len(range(q * q, bound + 1, q)))
-    return PrimeList(bound, tuple(i for i in range(bound + 1) if sieve[i]))
+    return tuple(i for i in range(bound + 1) if sieve[i])
 
 
 # The 13 prime bases 2..41 make Miller-Rabin exact below psi_13, the least
@@ -152,7 +136,7 @@ class FactorizationError(ValueError):
 # Trial division runs over the primes below _TRIAL_BOUND, so a cofactor below
 # its square that is left over is prime.
 _TRIAL_BOUND = 1000
-_TRIAL_PRIMES = primes_up_to(_TRIAL_BOUND - 1).primes
+_TRIAL_PRIMES = primes_up_to(_TRIAL_BOUND - 1)
 # Steps (evaluations of x -> x^2 + c) one Pollard-Brent run may take before
 # factorize gives up.  A prime factor q turns up after about 2·sqrt(q) steps:
 # two 12-digit factors took 1.0M steps in the median and 4.0M at most over 30

@@ -21,6 +21,7 @@ from .record import Record, json_at
 from .weierstrass import WeierstrassModel, make_model
 
 __all__ = [
+    "DEFAULT_SEARCH_BOUND",
     "IrreducibilityCertificate",
     "irreducibility_certificate",
     "verify_irreducibility_certificate",
@@ -32,6 +33,9 @@ __all__ = [
     "PairConsistency",
     "validate_pair",
 ]
+
+
+DEFAULT_SEARCH_BOUND = 100  # for the witness search when no bound is given
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,7 @@ def _witness(model: WeierstrassModel, ell: int, q: int) -> IrreducibilityCertifi
 
 
 def irreducibility_certificate(
-    model: WeierstrassModel, ell: int, search_bound: int = 100
+    model: WeierstrassModel, ell: int, search_bound: int = DEFAULT_SEARCH_BOUND
 ) -> IrreducibilityCertificate | None:
     """Scan good primes q <= search_bound for an irreducibility witness.
 
@@ -157,7 +161,7 @@ class TheoremVerdict(Record):
 
 
 def check_theorem_a(
-    model: WeierstrassModel, p: int, ell: int, search_bound: int = 100
+    model: WeierstrassModel, p: int, ell: int, search_bound: int = DEFAULT_SEARCH_BOUND
 ) -> TheoremVerdict:
     """Evaluate the hypotheses under which a p-new eigenform with the opposite
     sign at p must exist: p multiplicative (Steinberg), ell coprime to 2p and

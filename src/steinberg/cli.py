@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .arith import is_prime
-from .certificates import Conclusion, check_theorem_a, validate_pair
+from .certificates import DEFAULT_SEARCH_BOUND, Conclusion, check_theorem_a, validate_pair
 from .congruence import QuadraticCharacter, certify_congruence, index_gamma0, sturm_bound
 from .dataset import parse_curve_file, scan_level
 from .frobenius import ap_table
@@ -93,14 +93,18 @@ def _cmd_certify(args):
     return inputs, cert.to_dict(), 0 if cert.passed else 1
 
 
+def _read_table(path):
+    """The table's records, read lazily: `scan_level` checks p and ell first."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield from parse_curve_file(handle)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+
+
 def _cmd_scan(args):
     twist = QuadraticCharacter(args.p if args.twist is None else args.twist)
-    try:
-        with open(args.file, encoding="utf-8") as handle:
-            records = parse_curve_file(handle)
-    except OSError as exc:
-        raise ValueError(f"cannot read {args.file}: {exc}") from None
-    report = scan_level(records, args.p, args.ell, twist)
+    report = scan_level(_read_table(args.file), args.p, args.ell, twist)
     inputs = {"file": args.file, "p": args.p, "ell": args.ell, "twist": twist.to_dict()}
     return inputs, report.to_dict(), 0 if report.candidates else 1
 
@@ -110,7 +114,7 @@ def _cmd_paper_example(args):
     model_b = parse_curve(_EXAMPLE_B)
     p, ell = 19, 5
     twist = QuadraticCharacter(19)
-    verdict = check_theorem_a(model_a, p, ell, search_bound=100)
+    verdict = check_theorem_a(model_a, p, ell)
     cert = certify_congruence(model_a, model_b, ell, twist)
     consistency = validate_pair(model_a, model_b, p, ell, cert)
     result = {
@@ -156,7 +160,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("curve")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--search-bound", type=int, default=100)
+    sp.add_argument("--search-bound", type=int, default=DEFAULT_SEARCH_BOUND)
     sp.set_defaults(handler=_cmd_check_theorem, render=_pretty_check_theorem)
 
     sp = sub.add_parser("sturm", parents=[common], help="Sturm bound for Gamma_0(level)")

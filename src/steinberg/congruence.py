@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Callable
 
-from .arith import PrimeList, factorize, is_prime, kronecker, primes_up_to
+from .arith import factorize, is_prime, kronecker
 from .frobenius import ap_table
 from .local_reduction import conductor
 from .record import Record, json_at
@@ -60,8 +60,7 @@ def index_gamma0(M: int) -> int:
     if M < 1:
         raise ValueError("level must be positive")
     idx = M
-    for p, _ in factorize(M) if M > 1 else []:
-        assert idx % p == 0
+    for p, _ in factorize(M):
         idx = idx // p * (p + 1)
     return idx
 
@@ -120,30 +119,32 @@ def _prime_power_trace(a_q: int, q: int, k: int, good: bool) -> int:
 def compare_traces(
     trace_a: Callable[[int], int],
     trace_b: Callable[[int], int],
-    primes: PrimeList,
+    primes: tuple[int, ...],
+    bound: int,
     ell: int,
     twist: QuadraticCharacter,
     conductors: tuple[int, int],
 ) -> tuple[int, tuple[int, ...], tuple[int, int, int] | None]:
     """Compare twist(n)·a_n(A) with twist(n)·a_n(B) mod ell for n up to
-    primes.bound, in ascending order, stopping at the first difference.
+    bound, in ascending order, stopping at the first difference.
 
     a_n is multiplicative, and agreement at a prime q carries over to every
     q^k when both curves are good at q (the same Hecke recursion) or both are
     bad (a_{q^k} = a_q^k).  So n runs over the primes, plus the powers q^k
     (k >= 2) of each prime q that divides exactly one of the two conductors.
-    trace_a and trace_b map a prime to its a_p.  Returns how many primes were
-    compared, the primes skipped because the twist vanishes there, and
-    (n, a_n(A), a_n(B)) at the first mismatch, or None.
+    primes holds every prime <= bound, ascending; trace_a and trace_b map
+    each to its a_p.  Returns how many primes were compared, the primes
+    skipped because the twist vanishes there, and (n, a_n(A), a_n(B)) at the
+    first mismatch, or None.
     """
     level_a, level_b = conductors
     powers = {}  # q^k -> (q, k)
     for q in primes:
-        if q * q > primes.bound:
+        if q * q > bound:
             break
         if (level_a % q == 0) != (level_b % q == 0) and twist(q) != 0:
             k, qk = 2, q * q
-            while qk <= primes.bound:
+            while qk <= bound:
                 powers[qk] = (q, k)
                 k, qk = k + 1, qk * q
     excluded = []
@@ -185,8 +186,9 @@ def certify_congruence(
     bound = sturm_bound(M, 2)
     table_a = ap_table(model_a, bound).entries
     table_b = ap_table(model_b, bound).entries
+    # the keys of an a_p table are the primes <= bound, ascending
     checked, excluded, counterexample = compare_traces(
-        table_a.__getitem__, table_b.__getitem__, primes_up_to(bound), ell, twist, levels
+        table_a.__getitem__, table_b.__getitem__, tuple(table_a), bound, ell, twist, levels
     )
 
     return CongruenceCertificate(

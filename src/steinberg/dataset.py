@@ -146,15 +146,12 @@ def scan_level(
     if pairs:
         # every eligible curve has conductor `level`, so this is the bound
         # certify_congruence uses for each pair
-        primes = primes_up_to(sturm_bound(twist.level(level), 2))
+        bound = sturm_bound(twist.level(level), 2)
+        primes = primes_up_to(bound)
     for rec_a, rec_b in pairs:
         *_, counterexample = compare_traces(
-            partial(memo_a_p, rec_a.model),
-            partial(memo_a_p, rec_b.model),
-            primes,
-            ell,
-            twist,
-            (level, level),
+            partial(memo_a_p, rec_a.model), partial(memo_a_p, rec_b.model),
+            primes, bound, ell, twist, (level, level),
         )
         if counterexample is None:
             cert = certify_congruence(rec_a.model, rec_b.model, ell, twist)

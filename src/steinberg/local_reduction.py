@@ -48,10 +48,6 @@ class LocalData(Record):
     a_p: int
 
 
-def _inv(a: int, p: int) -> int:
-    return pow(a, -1, p)
-
-
 def _move_singular_point(E: WeierstrassModel, p: int) -> WeierstrassModel:
     """Translate so the singular point of the reduction lies at (0, 0).
 
@@ -75,10 +71,10 @@ def _move_singular_point(E: WeierstrassModel, p: int) -> WeierstrassModel:
         t = (a1 * r + a3) % 3
     else:
         if E.c4 % p == 0:
-            r = -E.b2 * _inv(12, p) % p
+            r = -E.b2 * pow(12, -1, p) % p
         else:
-            r = -(E.c6 + E.b2 * E.c4) * _inv(12 * E.c4, p) % p
-        t = -(a1 * r + a3) * _inv(2, p) % p
+            r = -(E.c6 + E.b2 * E.c4) * pow(12 * E.c4, -1, p) % p
+        t = -(a1 * r + a3) * pow(2, -1, p) % p
     E = change_coordinates(E, 1, r, 0, t)
     assert E.a3 % p == 0 and E.a4 % p == 0 and E.a6 % p == 0
     return E
@@ -105,10 +101,10 @@ def _normalize_additive(E: WeierstrassModel, p: int) -> WeierstrassModel:
         t = 2 * ((E.a6 // 4) % 2)
         E = change_coordinates(E, 1, 0, 0, t)
     else:
-        half = _inv(2, p)
+        half = pow(2, -1, p)
         s = -E.a1 * half % p
         E = change_coordinates(E, 1, 0, s, 0)
-        half2 = _inv(2, p * p)
+        half2 = pow(2, -1, p * p)
         t = -E.a3 * half2 % (p * p)
         E = change_coordinates(E, 1, 0, 0, t)
     assert E.a1 % p == 0 and E.a2 % p == 0
@@ -132,7 +128,7 @@ def _instar_length(E: WeierstrassModel, p: int) -> int:
         a6t = E.a6 // (mx * my)
         if (a3t * a3t + 4 * a6t) % p != 0:
             return n
-        gamma = a6t % 2 if p == 2 else -a3t * _inv(2, p) % p
+        gamma = a6t % 2 if p == 2 else -a3t * pow(2, -1, p) % p
         E = change_coordinates(E, 1, 0, 0, my * gamma)
         my *= p
         n += 1
@@ -141,7 +137,7 @@ def _instar_length(E: WeierstrassModel, p: int) -> int:
         a6t = E.a6 // (mx * my)
         if (a4t * a4t - 4 * a2t * a6t) % p != 0:
             return n
-        delta = a6t % 2 if p == 2 else -a4t * _inv(2 * a2t, p) % p
+        delta = a6t % 2 if p == 2 else -a4t * pow(2 * a2t, -1, p) % p
         E = change_coordinates(E, 1, mx * delta, 0, 0)
         mx *= p
         n += 1
@@ -206,7 +202,7 @@ def _tate(model: WeierstrassModel, p: int) -> LocalData:
             if p == 2:
                 beta = c % 2
             else:
-                beta = (b * c - 9 * d) * _inv(2 * x, p) % p
+                beta = (b * c - 9 * d) * pow(2 * x, -1, p) % p
             E = change_coordinates(E, 1, p * beta, 0, 0)
             m = _instar_length(E, p)
             return LocalData(p, ReductionType.ADDITIVE, n, n - 4 - m, 0)
@@ -217,7 +213,7 @@ def _tate(model: WeierstrassModel, p: int) -> LocalData:
         elif p == 3:
             alpha = -d % 3
         else:
-            alpha = -b * _inv(3, p) % p
+            alpha = -b * pow(3, -1, p) % p
         E = change_coordinates(E, 1, p * alpha, 0, 0)
         assert E.a2 % p ** 2 == 0 and E.a4 % p ** 3 == 0 and E.a6 % p ** 4 == 0
 
@@ -226,7 +222,7 @@ def _tate(model: WeierstrassModel, p: int) -> LocalData:
         if (a3t * a3t + 4 * a6t) % p != 0:  # type IV*
             return LocalData(p, ReductionType.ADDITIVE, n, n - 6, 0)
 
-        gamma = a6t % 2 if p == 2 else -a3t * _inv(2, p) % p
+        gamma = a6t % 2 if p == 2 else -a3t * pow(2, -1, p) % p
         E = change_coordinates(E, 1, 0, 0, p * p * gamma)
         if E.a4 % p ** 4 != 0:  # type III*
             return LocalData(p, ReductionType.ADDITIVE, n, n - 7, 0)

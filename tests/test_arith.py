@@ -75,16 +75,16 @@ def euler_chi(a, p):
 # -- primes_up_to ------------------------------------------------------------
 
 def test_primes_up_to_small_values():
-    assert primes_up_to(1).primes == ()
-    assert primes_up_to(2).primes == (2,)
-    assert primes_up_to(10).primes == (2, 3, 5, 7)
-    assert primes_up_to(0).bound == 0
+    assert primes_up_to(1) == ()
+    assert primes_up_to(2) == (2,)
+    assert primes_up_to(10) == (2, 3, 5, 7)
+    assert primes_up_to(0) == ()
 
 
 def test_primes_up_to_matches_trial_division():
     plist = primes_up_to(2000)
     expected = tuple(n for n in range(2001) if trial_division_is_prime(n))
-    assert plist.primes == expected
+    assert plist == expected
 
 
 def test_primes_up_to_membership_and_len():
@@ -98,7 +98,7 @@ def test_primes_up_to_membership_and_len():
 def test_primes_at_the_sturm_scale():
     plist = primes_up_to(7220)
     assert len(plist) == 923
-    assert plist.primes[-1] == 7219
+    assert plist[-1] == 7219
     assert trial_division_is_prime(7219)
 
 
@@ -229,8 +229,8 @@ def test_factorize_rejects_zero():
         factorize(0)
 
 
-SMALL_PRIMES = primes_up_to(20_000).primes
-LARGE_PRIMES = primes_up_to(1_000_000).primes[-2000:]
+SMALL_PRIMES = primes_up_to(20_000)
+LARGE_PRIMES = primes_up_to(1_000_000)[-2000:]
 
 
 @st.composite

@@ -97,6 +97,15 @@ def test_verify_rejects_tampered_certificate(E, Eprime):
         assert not verify_irreducibility_certificate(E, broken), field
 
 
+@pytest.mark.parametrize("field, value", [("q", 4), ("ell", 2)])
+def test_verify_refuses_a_composite_q_or_ell_2_without_counting_points(E, kernel_calls, field, value):
+    cert = dataclasses.replace(irreducibility_certificate(E, 5, 100), **{field: value})
+    fresh = make_model(*E.a_invariants)  # keeps no a_p yet
+    kernel_calls.clear()
+    assert not verify_irreducibility_certificate(fresh, cert)
+    assert kernel_calls == []
+
+
 def test_irreducibility_serialization_round_trip(E):
     cert = irreducibility_certificate(E, 5, 100)
     assert IrreducibilityCertificate.from_dict(cert.to_dict()) == cert

@@ -312,6 +312,14 @@ def test_scan_reports_parse_errors_as_usage(tmp_path):
     assert "line 1" in err
 
 
+def test_scan_reports_an_unreadable_file_as_usage(tmp_path):
+    path = tmp_path / "absent.txt"
+    code, out, err = invoke("scan", str(path), "--p", "19", "--ell", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+
+
 def test_scan_fails_fast_on_a_discriminant_it_cannot_factor(tmp_path):
     path = tmp_path / "hostile.txt"
     path.write_text(
@@ -323,6 +331,23 @@ def test_scan_fails_fast_on_a_discriminant_it_cannot_factor(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert "line 2 (bad): Pollard rho found no factor of a 41-digit cofactor" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "p, ell, message",
+    [("4", "5", "p = 4 is not prime"), ("19", "25", "ell = 25 is not prime")],
+    ids=["p", "ell"],
+)
+def test_scan_checks_p_and_ell_before_it_reads_the_table(tmp_path, p, ell, message):
+    path = tmp_path / "hostile.txt"
+    path.write_text(
+        f"ex1 {CURVE_A}\nbad [1,0,0,0,{HOSTILE_P}]\nex2 {CURVE_B}\n",
+        encoding="utf-8",
+    )
+    proc = invoke_module("scan", str(path), "--p", p, "--ell", ell, timeout=2)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
 
 
 def _limit_address_space():

@@ -67,6 +67,14 @@ def test_enumeration_rejects_singular_reduction(E):
         count_points_enumeration(E, 19)
 
 
+def test_a_p_and_enumeration_reject_a_composite_p():
+    m = make_model(0, -1, 1, -10, -20)  # 11a1: odd discriminant, nonsingular mod 4
+    with pytest.raises(ValueError, match="not prime"):
+        a_p(m, 4)
+    with pytest.raises(ValueError, match="not prime"):
+        count_points_enumeration(m, 4)
+
+
 # -- the two counting methods agree --------------------------------------------
 
 def test_enumeration_matches_legendre_sum_on_battery():
@@ -98,7 +106,7 @@ def test_enumeration_matches_kernel_across_mestre_cutoff(ai):
 @settings(derandomize=True, deadline=None)
 @given(
     ai=st.tuples(*[st.integers(-10, 10)] * 5),
-    p=st.sampled_from(primes_up_to(400).primes),
+    p=st.sampled_from(primes_up_to(400)),
 )
 def test_enumeration_matches_kernel_hypothesis(ai, p):
     try:
@@ -180,7 +188,7 @@ def test_ap_table_golden(E):
     assert table.entries[5] == 3
     assert table.entries[19] == -1
     assert table.entries[37] == -1
-    assert set(table.entries) == set(primes_up_to(40).primes)
+    assert set(table.entries) == set(primes_up_to(40))
 
 
 def test_ap_table_empty_below_two(E):

@@ -130,3 +130,9 @@ def test_valuation_is_additive():
 def test_valuation_rejects_zero():
     with pytest.raises(ValueError):
         valuation(0, 2)
+
+
+def test_valuation_rejects_p_below_2():
+    for p in (0, 1):
+        with pytest.raises(ValueError, match="p must be a prime"):
+            valuation(8, p)
