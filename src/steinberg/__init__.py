@@ -41,7 +41,7 @@ from .congruence import (
     sturm_bound,
 )
 from .dataset import CurveRecord, ScanReport, parse_curve_file, scan_level
-from .frobenius import ApTable, a_p, ap_table, count_points, count_points_enumeration
+from .frobenius import ApTable, a_p, ap_table, count_points_enumeration
 from .local_reduction import LocalData, ReductionType, conductor, steinberg_primes, tate_local
 from .weierstrass import WeierstrassModel, change_coordinates, make_model, parse_curve, valuation
 
@@ -52,7 +52,7 @@ __all__ = [
     "FactorizationError", "factorize",
     "WeierstrassModel", "make_model", "parse_curve", "change_coordinates", "valuation",
     "ReductionType", "LocalData", "tate_local", "conductor", "steinberg_primes",
-    "count_points", "count_points_enumeration", "a_p", "ApTable", "ap_table",
+    "count_points_enumeration", "a_p", "ApTable", "ap_table",
     "QuadraticCharacter", "index_gamma0", "sturm_bound",
     "CongruenceCertificate", "certify_congruence", "reverify_congruence",
     "IrreducibilityCertificate", "irreducibility_certificate", "verify_irreducibility_certificate",

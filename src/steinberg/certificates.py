@@ -95,12 +95,9 @@ def irreducibility_certificate(
     return None
 
 
-def verify_irreducibility_certificate(
-    model: WeierstrassModel, cert: IrreducibilityCertificate
-) -> bool:
-    """Recompute the certificate at its prime q from the model and compare."""
-    if cert.curve != model.a_invariants:
-        return False
+def verify_irreducibility_certificate(cert: IrreducibilityCertificate) -> bool:
+    """Recompute the certificate at its prime q from its own curve and compare."""
+    model = make_model(*cert.curve)
     if not is_prime(cert.q) or not is_prime(cert.ell) or cert.ell == 2:
         return False
     return _witness(model, cert.ell, cert.q) == cert
@@ -240,11 +237,11 @@ def validate_pair(
     model_a: WeierstrassModel,
     model_b: WeierstrassModel,
     p: int,
-    ell: int,
     cert: CongruenceCertificate,
 ) -> PairConsistency:
-    """Given two curves congruent mod ell away from p with opposite signs at
-    the Steinberg prime p, assert the conditions the congruence forces.
+    """Given two curves congruent mod ell = `cert.ell` away from p with
+    opposite signs at the Steinberg prime p, assert the conditions the
+    congruence forces: p = -1 (mod ell), and each curve unramified at p.
 
     Precondition violations (wrong certificate, equal signs, p not
     multiplicative, twist not vanishing at p) raise ValueError; genuine
@@ -258,16 +255,14 @@ def validate_pair(
         raise ValueError(f"signs at p = {p} are not opposite")
     if not cert.passed:
         raise ValueError("certificate is not a passing one")
-    if cert.ell != ell:
-        raise ValueError(f"certificate modulus {cert.ell} does not match ell = {ell}")
-    pair = {model_a.a_invariants, model_b.a_invariants}
-    if {cert.curve_a, cert.curve_b} != pair:
+    if {cert.curve_a, cert.curve_b} != {model_a.a_invariants, model_b.a_invariants}:
         raise ValueError("certificate is for different curves")
     if cert.twist(p) != 0:
         raise ValueError(f"certificate does not exclude p = {p} (twist nonzero there)")
 
+    ell = cert.ell
     minus_one = (p + 1) % ell == 0
-    unramified = unramified_at(model_a, p, ell) if p != ell else False
+    unramified = p != ell and unramified_at(model_a, p, ell) and unramified_at(model_b, p, ell)
     inconsistencies = []
     if not minus_one:
         inconsistencies.append("p_is_minus_one_mod_ell")

@@ -116,7 +116,7 @@ def _cmd_paper_example(args):
     twist = QuadraticCharacter(19)
     verdict = check_theorem_a(model_a, p, ell)
     cert = certify_congruence(model_a, model_b, ell, twist)
-    consistency = validate_pair(model_a, model_b, p, ell, cert)
+    consistency = validate_pair(model_a, model_b, p, cert)
     result = {
         "local_data_a": [tate_local(model_a, q).to_dict() for q in model_a.bad_primes],
         "local_data_b": [tate_local(model_b, q).to_dict() for q in model_b.bad_primes],

@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from typing import IO, Iterable
 
 from .arith import is_prime, primes_up_to
@@ -116,13 +117,10 @@ def scan_level(
 
     conductors = {rec.label: conductor(rec.model) for rec in records}
     counts = Counter(conductors.values())
-    level = min(
-        (N for N in counts if counts[N] == max(counts.values())),
-    )
+    level = min(counts, key=lambda N: (-counts[N], N))
 
     skipped: list[SkippedRecord] = []
-    signs: list[tuple[str, int]] = []
-    eligible: list[CurveRecord] = []
+    signed: list[tuple[CurveRecord, int]] = []
     for rec in records:
         N = conductors[rec.label]
         if N != level:
@@ -132,15 +130,10 @@ def scan_level(
         if data.f_p != 1:
             skipped.append(SkippedRecord(rec.label, f"not multiplicative at {p} (f_p = {data.f_p})"))
             continue
-        signs.append((rec.label, data.a_p))
-        eligible.append(rec)
+        signed.append((rec, data.a_p))
 
-    sign_of = dict(signs)
     pairs = [
-        (rec_a, rec_b)
-        for i, rec_a in enumerate(eligible)
-        for rec_b in eligible[i + 1 :]
-        if sign_of[rec_a.label] == -sign_of[rec_b.label]
+        (rec_a, rec_b) for (rec_a, a), (rec_b, b) in combinations(signed, 2) if a == -b
     ]
     candidates: list[CandidatePair] = []
     if pairs:
@@ -169,7 +162,7 @@ def scan_level(
         p=p,
         ell=ell,
         twist=twist,
-        sign_table=tuple(signs),
+        sign_table=tuple((rec.label, sign) for rec, sign in signed),
         candidates=tuple(candidates),
         skipped=tuple(skipped),
         notes=tuple(notes),

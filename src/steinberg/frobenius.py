@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .arith import is_prime, primes_up_to
-from .local_reduction import ReductionType, tate_local
+from .local_reduction import tate_local
 from .weierstrass import WeierstrassModel
 
 __all__ = [
-    "count_points",
     "count_points_enumeration",
     "count_reduced_points",
     "a_p",
@@ -172,14 +171,6 @@ def count_points_enumeration(model: WeierstrassModel, p: int) -> int:
     if model.disc % p == 0:
         raise ValueError(f"the model is singular mod {p}")
     return _enumerate_reduced(model.a_invariants, p)
-
-
-def count_points(model: WeierstrassModel, p: int) -> int:
-    """#E(F_p) at a prime of good reduction (computed on a p-minimal model)."""
-    data = tate_local(model, p)
-    if data.rtype is not ReductionType.GOOD:
-        raise ValueError(f"bad reduction at {p} ({data.rtype.value})")
-    return p + 1 - data.a_p
 
 
 def memo_a_p(model: WeierstrassModel, p: int) -> int:

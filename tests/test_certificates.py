@@ -38,7 +38,7 @@ def test_irreducibility_certificate_golden(E):
     assert (cert.trace_mod_ell, cert.det_mod_ell) == (2, 3)
     assert cert.disc_mod_ell == 2
     assert cert.nonresidue_witness
-    assert verify_irreducibility_certificate(E, cert)
+    assert verify_irreducibility_certificate(cert)
 
 
 def test_irreducibility_witness_is_least(E):
@@ -61,7 +61,7 @@ def test_witness_rule_skips_primes_dividing_ell_times_the_level(E, monkeypatch):
     cert = irreducibility_certificate(E, 5, 100)
     assert calls == [3]
     for q in (2, 5, 19, 37):
-        assert not verify_irreducibility_certificate(E, dataclasses.replace(cert, q=q)), q
+        assert not verify_irreducibility_certificate(dataclasses.replace(cert, q=q)), q
     assert calls == [3]
 
 
@@ -71,7 +71,7 @@ def test_witness_rule_reads_the_conductor_not_the_discriminant(E):
     assert 3 in scaled.bad_primes
     cert = irreducibility_certificate(scaled, 5, 100)
     assert (cert.q, cert.a_q) == (3, 2)
-    assert verify_irreducibility_certificate(scaled, cert)
+    assert verify_irreducibility_certificate(cert)
 
 
 def test_irreducibility_absent_for_reducible_curve(isogeny_curve):
@@ -91,18 +91,29 @@ def test_irreducibility_rejects_bad_ell(E):
 
 def test_verify_rejects_tampered_certificate(E, Eprime):
     cert = irreducibility_certificate(E, 5, 100)
-    assert not verify_irreducibility_certificate(Eprime, cert)
-    for field, value in (("q", 7), ("a_q", 1), ("disc_mod_ell", 1), ("det_mod_ell", 4)):
+    tampered = (
+        ("curve", Eprime.a_invariants),
+        ("q", 7),
+        ("a_q", 1),
+        ("disc_mod_ell", 1),
+        ("det_mod_ell", 4),
+    )
+    for field, value in tampered:
         broken = dataclasses.replace(cert, **{field: value})
-        assert not verify_irreducibility_certificate(E, broken), field
+        assert not verify_irreducibility_certificate(broken), field
+
+
+def test_verify_raises_on_a_singular_curve(E):
+    cert = dataclasses.replace(irreducibility_certificate(E, 5, 100), curve=(0, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="singular"):
+        verify_irreducibility_certificate(cert)
 
 
 @pytest.mark.parametrize("field, value", [("q", 4), ("ell", 2)])
 def test_verify_refuses_a_composite_q_or_ell_2_without_counting_points(E, kernel_calls, field, value):
     cert = dataclasses.replace(irreducibility_certificate(E, 5, 100), **{field: value})
-    fresh = make_model(*E.a_invariants)  # keeps no a_p yet
     kernel_calls.clear()
-    assert not verify_irreducibility_certificate(fresh, cert)
+    assert not verify_irreducibility_certificate(cert)
     assert kernel_calls == []
 
 
@@ -209,7 +220,7 @@ def pair_certificate(E, Eprime):
 
 
 def test_validate_pair_consistent(E, Eprime, pair_certificate):
-    report = validate_pair(E, Eprime, 19, 5, pair_certificate)
+    report = validate_pair(E, Eprime, 19, pair_certificate)
     assert report.consistent
     assert report.p_is_minus_one_mod_ell and report.unramified_at_p
     assert report.inconsistencies == ()
@@ -218,37 +229,35 @@ def test_validate_pair_consistent(E, Eprime, pair_certificate):
 
 def test_validate_pair_rejects_equal_signs(E, Eprime, pair_certificate):
     with pytest.raises(ValueError, match="not opposite"):
-        validate_pair(E, E, 19, 5, pair_certificate)
+        validate_pair(E, E, 19, pair_certificate)
     with pytest.raises(ValueError, match="not opposite"):
-        validate_pair(E, Eprime, 37, 5, pair_certificate)  # both nonsplit at 37
+        validate_pair(E, Eprime, 37, pair_certificate)  # both nonsplit at 37
 
 
 def test_validate_pair_rejects_wrong_certificate(E, Eprime, pair_certificate):
     swapped = dataclasses.replace(pair_certificate, curve_a=(0, -1, 1, -10, -20))
     with pytest.raises(ValueError, match="different curves"):
-        validate_pair(E, Eprime, 19, 5, swapped)
-    with pytest.raises(ValueError, match="does not match ell"):
-        validate_pair(E, Eprime, 19, 7, pair_certificate)
+        validate_pair(E, Eprime, 19, swapped)
 
 
 def test_validate_pair_rejects_unexcluded_prime(E, Eprime, pair_certificate):
     # a certificate whose twist does not vanish at p says nothing about p
     retwisted = dataclasses.replace(pair_certificate, twist=QuadraticCharacter(5))
     with pytest.raises(ValueError, match="does not exclude"):
-        validate_pair(E, Eprime, 19, 5, retwisted)
+        validate_pair(E, Eprime, 19, retwisted)
 
 
 def test_validate_pair_rejects_failing_certificate(E, Eprime, isogeny_curve):
     failing = certify_congruence(E, isogeny_curve, 5, QuadraticCharacter(1))
     assert not failing.passed
     with pytest.raises(ValueError, match="not a passing"):
-        validate_pair(E, Eprime, 19, 5, failing)
+        validate_pair(E, Eprime, 19, failing)
 
 
 def test_validate_pair_rejects_a_prime_that_is_not_steinberg(E, Eprime, pair_certificate):
     # both curves have good reduction at 3
     with pytest.raises(ValueError, match="not a Steinberg prime"):
-        validate_pair(E, Eprime, 3, 5, pair_certificate)
+        validate_pair(E, Eprime, 3, pair_certificate)
 
 
 def test_validate_pair_reports_both_inconsistencies(E, Eprime, pair_certificate):
@@ -257,7 +266,19 @@ def test_validate_pair_reports_both_inconsistencies(E, Eprime, pair_certificate)
     # v_19(min disc) = 5.  A passing certificate mod 7 has to be built by hand.
     assert not certify_congruence(E, Eprime, 7, pair_certificate.twist).passed
     forged = dataclasses.replace(pair_certificate, ell=7)
-    report = validate_pair(E, Eprime, 19, 7, forged)
+    report = validate_pair(E, Eprime, 19, forged)
     assert not report.consistent
     assert not report.p_is_minus_one_mod_ell and not report.unramified_at_p
     assert report.inconsistencies == ("p_is_minus_one_mod_ell", "unramified_at_p")
+
+
+def test_validate_pair_checks_unramifiedness_on_both_curves():
+    # N = 350, p = 2, ell = 3: v_2(min disc) is 3 on A but 2 on B, so B is
+    # ramified at 2 and the pair is inconsistent whichever curve comes first
+    A, B = make_model(1, 1, 0, 5, 5), make_model(1, 1, 1, -13, 31)
+    cert = certify_congruence(A, B, 3, QuadraticCharacter(2))
+    assert cert.passed and cert.sturm_bound_value == 3840
+    for first, second in ((A, B), (B, A)):
+        report = validate_pair(first, second, 2, cert)
+        assert report.inconsistencies == ("unramified_at_p",)
+        assert report.p_is_minus_one_mod_ell and not report.unramified_at_p

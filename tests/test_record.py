@@ -46,7 +46,7 @@ def records(E, Eprime):
         "irreducibility": irreducibility_certificate(E, 5),
         "verdict": check_theorem_a(E, 19, 5),
         "verdict_no_witness": check_theorem_a(E, 19, 5, search_bound=2),
-        "pair_consistency": validate_pair(E, Eprime, 19, 5, cert),
+        "pair_consistency": validate_pair(E, Eprime, 19, cert),
         "skipped": report.skipped[0],
         "candidate": report.candidates[0],
         "scan_report": report,
