@@ -13,6 +13,7 @@ from math import gcd, isqrt
 __all__ = [
     "MAX_SIEVE_BOUND",
     "SieveLimitError",
+    "check_sieve_bound",
     "primes_up_to",
     "PROVEN_PRIME_LIMIT",
     "is_prime",
@@ -36,16 +37,21 @@ class SieveLimitError(ValueError):
     """A sieve bound above MAX_SIEVE_BOUND."""
 
 
+def check_sieve_bound(bound: int) -> None:
+    """Refuse a negative bound, or one above MAX_SIEVE_BOUND (SieveLimitError)."""
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    if bound > MAX_SIEVE_BOUND:
+        raise SieveLimitError(f"bound {bound} is above the sieve limit {MAX_SIEVE_BOUND}")
+
+
 def primes_up_to(bound: int) -> tuple[int, ...]:
     """The primes <= bound, ascending, by the sieve of Eratosthenes.
 
     Raises SieveLimitError, before allocating anything, when bound exceeds
     MAX_SIEVE_BOUND.
     """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    if bound > MAX_SIEVE_BOUND:
-        raise SieveLimitError(f"bound {bound} is above the sieve limit {MAX_SIEVE_BOUND}")
+    check_sieve_bound(bound)
     if bound < 2:
         return ()
     sieve = bytearray([1]) * (bound + 1)

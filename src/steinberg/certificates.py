@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .arith import is_prime, kronecker, primes_up_to
+from .arith import check_sieve_bound, is_prime, kronecker
 from .congruence import CongruenceCertificate
 from .frobenius import a_p
 from .local_reduction import conductor, tate_local
@@ -80,15 +80,17 @@ def _witness(model: WeierstrassModel, ell: int, q: int) -> IrreducibilityCertifi
 def irreducibility_certificate(
     model: WeierstrassModel, ell: int, search_bound: int = DEFAULT_SEARCH_BOUND
 ) -> IrreducibilityCertificate | None:
-    """Scan good primes q <= search_bound for an irreducibility witness.
+    """Walk good primes q <= search_bound upward to the first irreducibility
+    witness; the bound is capped like a sieve bound, but nothing is sieved.
 
-    Returns None when the scan is exhausted; absence of a witness proves
+    Returns None when the walk is exhausted; absence of a witness proves
     nothing (the representation may still be irreducible, or reducible as
     for a curve with a rational ell-isogeny).
     """
     if ell == 2 or not is_prime(ell):
         raise ValueError(f"ell must be an odd prime, got {ell}")
-    for q in primes_up_to(search_bound):
+    check_sieve_bound(search_bound)
+    for q in filter(is_prime, range(2, search_bound + 1)):
         cert = _witness(model, ell, q)
         if cert is not None:
             return cert

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Callable
 
 from .arith import factorize, is_prime, kronecker
-from .frobenius import ap_table
+from .frobenius import ap_table, memo_a_p
 from .local_reduction import conductor
 from .record import Record, json_at
 from .weierstrass import WeierstrassModel, make_model
@@ -103,6 +102,8 @@ class CongruenceCertificate(Record):
 
     @classmethod
     def from_dict(cls, data: dict) -> "CongruenceCertificate":
+        if data["status"] not in ("pass", "fail"):
+            raise ValueError(f"status must be 'pass' or 'fail', got {data['status']!r}")
         return super().from_dict({**data, "status": data["status"] == "pass"})
 
 
@@ -117,25 +118,25 @@ def _prime_power_trace(a_q: int, q: int, k: int, good: bool) -> int:
 
 
 def compare_traces(
-    trace_a: Callable[[int], int],
-    trace_b: Callable[[int], int],
+    model_a: WeierstrassModel,
+    model_b: WeierstrassModel,
     primes: tuple[int, ...],
     bound: int,
     ell: int,
     twist: QuadraticCharacter,
     conductors: tuple[int, int],
-) -> tuple[int, tuple[int, ...], tuple[int, int, int] | None]:
+) -> CongruenceCertificate:
     """Compare twist(n)·a_n(A) with twist(n)·a_n(B) mod ell for n up to
-    bound, in ascending order, stopping at the first difference.
+    bound, in ascending order, and return the certificate of the outcome.
 
     a_n is multiplicative, and agreement at a prime q carries over to every
     q^k when both curves are good at q (the same Hecke recursion) or both are
     bad (a_{q^k} = a_q^k).  So n runs over the primes, plus the powers q^k
     (k >= 2) of each prime q that divides exactly one of the two conductors.
-    primes holds every prime <= bound, ascending; trace_a and trace_b map
-    each to its a_p.  Returns how many primes were compared, the primes
-    skipped because the twist vanishes there, and (n, a_n(A), a_n(B)) at the
-    first mismatch, or None.
+    primes holds every prime <= bound, ascending, and each a_p is read
+    through `memo_a_p`; bound is the Sturm bound of the twisted level of the
+    conductors' lcm.  Primes where the twist vanishes are excluded and
+    listed, and a failure stops at the least counterexample (n, a_n(A), a_n(B)).
     """
     level_a, level_b = conductors
     powers = {}  # q^k -> (q, k)
@@ -149,6 +150,7 @@ def compare_traces(
                 k, qk = k + 1, qk * q
     excluded = []
     checked = 0
+    counterexample = None
     for n in sorted([*primes, *powers]) if powers else primes:
         chi = twist(n)
         if chi == 0:
@@ -156,14 +158,26 @@ def compare_traces(
             continue
         if n in powers:
             q, k = powers[n]
-            ta = _prime_power_trace(trace_a(q), q, k, level_a % q != 0)
-            tb = _prime_power_trace(trace_b(q), q, k, level_b % q != 0)
+            ta = _prime_power_trace(memo_a_p(model_a, q), q, k, level_a % q != 0)
+            tb = _prime_power_trace(memo_a_p(model_b, q), q, k, level_b % q != 0)
         else:
             checked += 1
-            ta, tb = trace_a(n), trace_b(n)
+            ta, tb = memo_a_p(model_a, n), memo_a_p(model_b, n)
         if chi * (ta - tb) % ell != 0:
-            return checked, tuple(excluded), (n, ta, tb)
-    return checked, tuple(excluded), None
+            counterexample = (n, ta, tb)
+            break
+    return CongruenceCertificate(
+        curve_a=model_a.a_invariants,
+        curve_b=model_b.a_invariants,
+        ell=ell,
+        twist=twist,
+        twisted_level_value=twist.level(lcm(*conductors)),
+        sturm_bound_value=bound,
+        primes_checked=checked,
+        excluded_primes=tuple(excluded),
+        passed=counterexample is None,
+        counterexample=counterexample,
+    )
 
 
 def certify_congruence(
@@ -173,36 +187,16 @@ def certify_congruence(
     twist: QuadraticCharacter,
 ) -> CongruenceCertificate:
     """Check psi(n)·a_n(A) = psi(n)·a_n(B) (mod ell) for all n up to the
-    Sturm bound of the common twisted level, through `compare_traces`.
-
-    Primes with psi(p) = 0 are excluded from the comparison and listed in the
-    certificate.  n is scanned in increasing order, so a failure reports the
-    least counterexample.
-    """
+    Sturm bound of the common twisted level, through `compare_traces`."""
     if not is_prime(ell):
         raise ValueError(f"ell = {ell} is not prime")
     levels = conductor(model_a), conductor(model_b)
-    M = twist.level(lcm(*levels))
-    bound = sturm_bound(M, 2)
-    table_a = ap_table(model_a, bound).entries
-    table_b = ap_table(model_b, bound).entries
-    # the keys of an a_p table are the primes <= bound, ascending
-    checked, excluded, counterexample = compare_traces(
-        table_a.__getitem__, table_b.__getitem__, tuple(table_a), bound, ell, twist, levels
-    )
-
-    return CongruenceCertificate(
-        curve_a=model_a.a_invariants,
-        curve_b=model_b.a_invariants,
-        ell=ell,
-        twist=twist,
-        twisted_level_value=M,
-        sturm_bound_value=bound,
-        primes_checked=checked,
-        excluded_primes=excluded,
-        passed=counterexample is None,
-        counterexample=counterexample,
-    )
+    bound = sturm_bound(twist.level(lcm(*levels)), 2)
+    # the tables fill each model's a_p memo, which the comparison reads;
+    # their keys are the primes <= bound, ascending
+    primes = tuple(ap_table(model_a, bound).entries)
+    ap_table(model_b, bound)
+    return compare_traces(model_a, model_b, primes, bound, ell, twist, levels)
 
 
 def reverify_congruence(cert: CongruenceCertificate) -> bool:

@@ -8,19 +8,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 from typing import IO, Iterable
 
 from .arith import is_prime, primes_up_to
-from .congruence import (
-    CongruenceCertificate,
-    QuadraticCharacter,
-    certify_congruence,
-    compare_traces,
-    sturm_bound,
-)
-from .frobenius import memo_a_p
+from .congruence import CongruenceCertificate, QuadraticCharacter, compare_traces, sturm_bound
 from .local_reduction import conductor, tate_local
 from .record import Record, json_at
 from .weierstrass import WeierstrassModel, parse_curve
@@ -104,9 +96,10 @@ def scan_level(
     The scan restricts to the records' common conductor (the modal value,
     smaller on ties; everything else is skipped with a reason), reads off the
     sign at p of each remaining curve, and compares every opposite-sign pair
-    up to the Sturm bound, stopping at its least counterexample.  Each
-    curve's a_p are computed at most once (they are kept on its model), and
-    only the pairs that reach the bound are certified and reported.
+    through `compare_traces` up to the Sturm bound, stopping at its least
+    counterexample.  Each curve's a_p are computed at most once (they are
+    kept on its model), and a pair that reaches the bound is reported with
+    the certificate of that one comparison; nothing is compared twice.
     """
     for name, value in (("p", p), ("ell", ell)):
         if not is_prime(value):
@@ -142,12 +135,8 @@ def scan_level(
         bound = sturm_bound(twist.level(level), 2)
         primes = primes_up_to(bound)
     for rec_a, rec_b in pairs:
-        *_, counterexample = compare_traces(
-            partial(memo_a_p, rec_a.model), partial(memo_a_p, rec_b.model),
-            primes, bound, ell, twist, (level, level),
-        )
-        if counterexample is None:
-            cert = certify_congruence(rec_a.model, rec_b.model, ell, twist)
+        cert = compare_traces(rec_a.model, rec_b.model, primes, bound, ell, twist, (level, level))
+        if cert.passed:
             candidates.append(CandidatePair(rec_a.label, rec_b.label, cert))
 
     notes: list[str] = []

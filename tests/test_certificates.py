@@ -1,11 +1,14 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 
 from steinberg import (
+    MAX_SIEVE_BOUND,
     Conclusion,
     IrreducibilityCertificate,
     QuadraticCharacter,
+    SieveLimitError,
     TheoremVerdict,
     a_p,
     certify_congruence,
@@ -80,6 +83,26 @@ def test_irreducibility_absent_for_reducible_curve(isogeny_curve):
 
 def test_irreducibility_empty_search_range(E):
     assert irreducibility_certificate(E, 5, 2) is None
+
+
+def test_witness_search_walks_primes_instead_of_sieving(E):
+    tracemalloc.start()
+    try:
+        cert = irreducibility_certificate(E, 5, MAX_SIEVE_BOUND)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.q == 3
+    assert peak < 10**6
+
+
+def test_witness_search_refuses_bad_bounds_before_any_work():
+    model = make_model(1, 1, 1, -614, -5501)
+    with pytest.raises(ValueError, match="nonnegative"):
+        irreducibility_certificate(model, 5, -1)
+    with pytest.raises(SieveLimitError, match=f"above the sieve limit {MAX_SIEVE_BOUND}"):
+        irreducibility_certificate(model, 5, MAX_SIEVE_BOUND + 1)
+    assert not {"bad_primes", "local_memo", "ap_memo"} & set(vars(model))
 
 
 def test_irreducibility_rejects_bad_ell(E):

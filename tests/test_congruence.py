@@ -331,3 +331,6 @@ def test_certificate_serialization_round_trip(E, paper_cert):
     assert CongruenceCertificate.from_dict(failing.to_dict()) == failing
     assert failing.to_dict()["status"] == "fail"
     assert paper_cert.to_dict()["status"] == "pass"
+    for status in ("PASS", "bogus"):
+        with pytest.raises(ValueError, match="status must be 'pass' or 'fail'"):
+            CongruenceCertificate.from_dict({**paper_cert.to_dict(), "status": status})

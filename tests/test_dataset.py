@@ -14,6 +14,7 @@ from steinberg import (
     scan_level,
     tate_local,
 )
+from steinberg import congruence
 from steinberg.dataset import CurveRecord
 
 GOLDEN_TABLE = Path(__file__).parent / "golden" / "scan_table.txt"
@@ -204,3 +205,12 @@ def test_scan_counts_each_curve_at_most_once_and_stops_refuted_pairs_early(kerne
     report = scan_level(sweep_table(), 19, 5, twist)  # all 9 pairs pass
     assert len(report.candidates) == 9
     assert len(kernel_calls) <= 6 * len(primes_up_to(7220))
+
+
+def test_scan_certifies_each_pair_by_its_one_comparison(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scan built an a_p table")
+
+    monkeypatch.setattr(congruence, "ap_table", refuse)
+    report = scan_level(sweep_table(), 19, 5, QuadraticCharacter(19))
+    assert len(report.candidates) == 9
