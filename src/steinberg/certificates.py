@@ -42,8 +42,9 @@ DEFAULT_SEARCH_BOUND = 100  # for the witness search when no bound is given
 class IrreducibilityCertificate(Record):
     """Witness that the mod-ell representation is (absolutely) irreducible.
 
-    q is the least good auxiliary prime, coprime to ell times the conductor,
-    with disc(X^2 - a_q·X + q) = a_q^2 - 4q a nonresidue mod ell.
+    q is a good auxiliary prime, coprime to ell times the conductor, with
+    disc(X^2 - a_q·X + q) = a_q^2 - 4q a nonresidue mod ell.  The search
+    issues the least such q; a verifier checks the witness at q alone.
     """
 
     curve: tuple[int, int, int, int, int]
@@ -246,8 +247,8 @@ def validate_pair(
     congruence forces: p = -1 (mod ell), and each curve unramified at p.
 
     Precondition violations (wrong certificate, equal signs, p not
-    multiplicative, twist not vanishing at p) raise ValueError; genuine
-    mathematical inconsistencies are reported in the result instead.
+    multiplicative, twist not vanishing at p, ell | 2p) raise ValueError;
+    genuine mathematical inconsistencies are reported in the result instead.
     """
     data_a = tate_local(model_a, p)
     data_b = tate_local(model_b, p)
@@ -261,10 +262,12 @@ def validate_pair(
         raise ValueError("certificate is for different curves")
     if cert.twist(p) != 0:
         raise ValueError(f"certificate does not exclude p = {p} (twist nonzero there)")
-
     ell = cert.ell
+    if ell in (2, p):
+        raise ValueError(f"ell = {ell} divides 2p = {2 * p}; the theorem needs ell coprime to 2p")
+
     minus_one = (p + 1) % ell == 0
-    unramified = p != ell and unramified_at(model_a, p, ell) and unramified_at(model_b, p, ell)
+    unramified = unramified_at(model_a, p, ell) and unramified_at(model_b, p, ell)
     inconsistencies = []
     if not minus_one:
         inconsistencies.append("p_is_minus_one_mod_ell")

@@ -216,7 +216,9 @@ def _pretty_check_theorem(result, out):
         if name != "irreducibility":
             print(f"  {name}: {'ok' if ok else 'FAILED'}", file=out)
     cert = checks["irreducibility"]
-    if cert is None:
+    if result["ell"] == 2:  # the witness search needs odd ell
+        print("  irreducibility: not searched (ell = 2)", file=out)
+    elif cert is None:
         print(f"  irreducibility: no witness up to q <= {result['search_bound']}", file=out)
     else:
         print(

@@ -75,6 +75,12 @@ def sturm_bound(M: int, k: int) -> int:
     return k * index_gamma0(M) // 12
 
 
+def _read_status(status: str) -> bool:
+    if status not in ("pass", "fail"):
+        raise ValueError(f"status must be 'pass' or 'fail', got {status!r}")
+    return status == "pass"
+
+
 @dataclass(frozen=True)
 class CongruenceCertificate(Record):
     """Outcome of a finite congruence check between two coefficient sequences.
@@ -92,19 +98,8 @@ class CongruenceCertificate(Record):
     sturm_bound_value: int = json_at("sturm_bound")
     primes_checked: int
     excluded_primes: tuple[int, ...]
-    passed: bool = json_at("status")
+    passed: bool = json_at("status", codec=(lambda passed: "pass" if passed else "fail", _read_status))
     counterexample: tuple[int, int, int] | None
-
-    def to_dict(self) -> dict:
-        data = super().to_dict()
-        data["status"] = "pass" if self.passed else "fail"
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CongruenceCertificate":
-        if data["status"] not in ("pass", "fail"):
-            raise ValueError(f"status must be 'pass' or 'fail', got {data['status']!r}")
-        return super().from_dict({**data, "status": data["status"] == "pass"})
 
 
 def _prime_power_trace(a_q: int, q: int, k: int, good: bool) -> int:

@@ -24,7 +24,8 @@ from math import isqrt
 
 from .arith import is_prime, primes_up_to
 from .local_reduction import tate_local
-from .weierstrass import WeierstrassModel
+from .record import Record, json_at
+from .weierstrass import WeierstrassModel, make_model
 
 __all__ = [
     "count_points_enumeration",
@@ -202,19 +203,12 @@ def a_p(model: WeierstrassModel, p: int) -> int:
 
 
 @dataclass(frozen=True)
-class ApTable:
-    """a_p for every prime p <= bound, as a plain dict keyed by p."""
+class ApTable(Record):
+    """a_p for every prime p <= bound, as a plain dict keyed by p, ascending."""
 
-    model: WeierstrassModel
+    model: WeierstrassModel = json_at("curve", codec=(lambda m: list(m.a_invariants), lambda ai: make_model(*ai)))
     bound: int
-    entries: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "curve": list(self.model.a_invariants),
-            "bound": self.bound,
-            "entries": [[p, self.entries[p]] for p in sorted(self.entries)],
-        }
+    entries: dict = json_at("entries", codec=(lambda e: [[p, a] for p, a in e.items()], dict))
 
 
 def ap_table(model: WeierstrassModel, bound: int) -> ApTable:

@@ -5,7 +5,8 @@ value, tuples as lists, nested records as objects, None as null.  Reading
 decodes each value, element by element, from the field's type.  A field made
 by `json_at(*path)` is stored at path instead of under its name: ``(key,)``
 renames it, ``(group, key)`` files it in a nested object, and
-``(group, index)`` makes it a slot of a list, filled in field order.
+``(group, index)`` makes it a slot of a list, filled in field order; a
+``codec=(encode, decode)`` pair replaces the one read off the field's type.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ __all__ = ["Record", "json_at"]
 _PLAIN = (None, None)  # int, str and bool are JSON already
 
 
-def json_at(*path: str | int) -> dataclasses.Field:
-    """A dataclass field stored at path in the JSON."""
-    return dataclasses.field(metadata={"json": path})
+def json_at(*path: str | int, codec: tuple | None = None) -> dataclasses.Field:
+    """A dataclass field stored at path in the JSON, through codec if given."""
+    return dataclasses.field(metadata={"json": path, "codec": codec})
 
 
 def _codec(tp) -> tuple:
@@ -61,7 +62,8 @@ class Record:
             rows = []
             for f in dataclasses.fields(cls):
                 *group, key = f.metadata.get("json", (f.name,))
-                rows.append((f.name, group[0] if group else None, key, *_codec(hints[f.name])))
+                codec = f.metadata.get("codec") or _codec(hints[f.name])
+                rows.append((f.name, group[0] if group else None, key, *codec))
             layout = cls._json_layout = tuple(rows)
         return layout
 

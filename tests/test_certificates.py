@@ -140,6 +140,19 @@ def test_verify_refuses_a_composite_q_or_ell_2_without_counting_points(E, kernel
     assert kernel_calls == []
 
 
+def test_verify_checks_the_witness_at_its_own_q_not_the_least_q(E):
+    # the search issues q = 3 for ell = 5; q = 7 is a witness too (a_7^2 - 28
+    # is a nonresidue mod 5), and verifying checks only the q it is given
+    least = irreducibility_certificate(E, 5)
+    assert least.q == 3
+    a7 = a_p(E, 7)
+    assert kronecker(a7 * a7 - 28, 5) == -1
+    later = dataclasses.replace(
+        least, q=7, a_q=a7, trace_mod_ell=a7 % 5, det_mod_ell=2, disc_mod_ell=(a7 * a7 - 28) % 5
+    )
+    assert verify_irreducibility_certificate(later)
+
+
 def test_irreducibility_serialization_round_trip(E):
     cert = irreducibility_certificate(E, 5, 100)
     assert IrreducibilityCertificate.from_dict(cert.to_dict()) == cert
@@ -305,3 +318,16 @@ def test_validate_pair_checks_unramifiedness_on_both_curves():
         report = validate_pair(first, second, 2, cert)
         assert report.inconsistencies == ("unramified_at_p",)
         assert report.p_is_minus_one_mod_ell and not report.unramified_at_p
+
+
+def test_validate_pair_refuses_ell_dividing_2p(E, Eprime, pair_certificate):
+    # 26b1 and 26a1 have opposite signs at 13 and certify mod 2 after the
+    # twist by 13, but the theorem assumes ell coprime to 2p
+    A, B = make_model(1, -1, 1, -3, 3), make_model(1, 0, 1, -5, -8)
+    cert = certify_congruence(A, B, 2, QuadraticCharacter(13))
+    assert cert.passed and cert.sturm_bound_value == 91
+    for first, second in ((A, B), (B, A)):
+        with pytest.raises(ValueError, match="divides 2p"):
+            validate_pair(first, second, 13, cert)
+    with pytest.raises(ValueError, match="divides 2p"):
+        validate_pair(E, Eprime, 19, dataclasses.replace(pair_certificate, ell=19))

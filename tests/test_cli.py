@@ -421,6 +421,16 @@ def test_pretty_check_theorem():
     assert "irreducibility: q=3" in out
 
 
+def test_pretty_check_theorem_at_ell_2_says_no_search_ran():
+    # check_theorem_a skips the witness search for ell = 2, so there is no
+    # search bound to report
+    code, out, _ = invoke("check-theorem", "[1,-1,1,-3,3]", "--p", "13", "--ell", "2", "--pretty")
+    assert code == 1
+    assert "  irreducibility: not searched (ell = 2)\n" in out
+    assert "no witness" not in out
+    assert "ell_not_2p: FAILED" in out
+
+
 def test_pretty_paper_example():
     code, out, _ = invoke("paper-example", "--pretty")
     assert code == 0

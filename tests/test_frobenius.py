@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 import steinberg.frobenius as frob
 from steinberg import (
+    ApTable,
     a_p,
     ap_table,
     count_points_enumeration,
@@ -243,3 +245,10 @@ def test_memo_belongs_to_one_model_object(kernel_calls):
     assert second == first
     ap_table(second, 300)
     assert len(kernel_calls) == 2 * counted
+
+
+def test_ap_table_round_trips_through_json(E):
+    table = ap_table(E, 200)
+    data = json.loads(json.dumps(table.to_dict()))
+    assert list(data) == ["curve", "bound", "entries"]
+    assert ApTable.from_dict(data) == table
