@@ -129,13 +129,14 @@ class Conclusion(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-_CHECK_NAMES = (
-    "steinberg_at_p",
-    "ell_not_2p",
-    "ell_coprime_level",
-    "p_is_minus_one_mod_ell",
-    "unramified_at_p",
-)
+def _forced_conditions(models: tuple[WeierstrassModel, ...], p: int, ell: int) -> dict[str, bool]:
+    """The two conditions an opposite-sign partner mod ell forces at p:
+    p = -1 (mod ell), and every model multiplicative and unramified at p."""
+    return {
+        "p_is_minus_one_mod_ell": (p + 1) % ell == 0,
+        "unramified_at_p": p != ell
+        and all(tate_local(m, p).f_p == 1 and unramified_at(m, p, ell) for m in models),
+    }
 
 
 @dataclass(frozen=True)
@@ -177,17 +178,14 @@ def check_theorem_a(
     data = tate_local(model, p)
     N = conductor(model)
 
-    steinberg = data.f_p == 1
-    ell_not_2p = ell != 2 and ell != p
-    ell_coprime_level = N % ell != 0
+    checks = {
+        "steinberg_at_p": data.f_p == 1,
+        "ell_not_2p": ell != 2 and ell != p,
+        "ell_coprime_level": N % ell != 0,
+        **_forced_conditions((model,), p, ell),
+    }
     cert = irreducibility_certificate(model, ell, search_bound) if ell != 2 else None
-    minus_one = (p + 1) % ell == 0
-    unramified = steinberg and p != ell and unramified_at(model, p, ell)
-
-    flags = dict(
-        zip(_CHECK_NAMES, (steinberg, ell_not_2p, ell_coprime_level, minus_one, unramified))
-    )
-    failed = tuple(name for name in _CHECK_NAMES if not flags[name])
+    failed = tuple(name for name, ok in checks.items() if not ok)
     if failed:
         conclusion = Conclusion.HYPOTHESIS_FAILED
     elif cert is None:
@@ -200,17 +198,13 @@ def check_theorem_a(
         p=p,
         ell=ell,
         search_bound=search_bound,
-        steinberg_at_p=steinberg,
         a_p=data.a_p,
         level=N,
         v_min_disc_at_p=data.v_min_disc,
-        ell_not_2p=ell_not_2p,
-        ell_coprime_level=ell_coprime_level,
         irreducibility=cert,
-        p_is_minus_one_mod_ell=minus_one,
-        unramified_at_p=unramified,
         failed_checks=failed,
         conclusion=conclusion,
+        **checks,
     )
 
 
@@ -248,7 +242,12 @@ def validate_pair(
 
     Precondition violations (wrong certificate, equal signs, p not
     multiplicative, twist not vanishing at p, ell | 2p) raise ValueError;
-    genuine mathematical inconsistencies are reported in the result instead.
+    failed conditions are reported in the result instead.  The
+    unramifiedness half needs the representation itself, so
+    `consistent: false` contradicts the theorem only when the mod-ell
+    representation is irreducible: the N = 350 pair [1,1,0,5,5],
+    [1,1,1,-13,31] at p = 2, ell = 3 reports ("unramified_at_p",), yet both
+    curves have a rational 3-isogeny.
     """
     data_a = tate_local(model_a, p)
     data_b = tate_local(model_b, p)
@@ -266,18 +265,6 @@ def validate_pair(
     if ell in (2, p):
         raise ValueError(f"ell = {ell} divides 2p = {2 * p}; the theorem needs ell coprime to 2p")
 
-    minus_one = (p + 1) % ell == 0
-    unramified = unramified_at(model_a, p, ell) and unramified_at(model_b, p, ell)
-    inconsistencies = []
-    if not minus_one:
-        inconsistencies.append("p_is_minus_one_mod_ell")
-    if not unramified:
-        inconsistencies.append("unramified_at_p")
-    return PairConsistency(
-        p=p,
-        ell=ell,
-        p_is_minus_one_mod_ell=minus_one,
-        unramified_at_p=unramified,
-        consistent=not inconsistencies,
-        inconsistencies=tuple(inconsistencies),
-    )
+    conditions = _forced_conditions((model_a, model_b), p, ell)
+    failed = tuple(name for name, ok in conditions.items() if not ok)
+    return PairConsistency(p, ell, consistent=not failed, inconsistencies=failed, **conditions)

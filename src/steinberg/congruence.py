@@ -1,10 +1,12 @@
 """Sturm bounds, quadratic twists, and finite congruence certificates.
 
-A congruence a_n(A) * psi(n) = a_n(B) * psi(n) (mod ell) between the twisted
-coefficient sequences of two curves is certified by checking every n up to
-the Sturm bound of the ambient twisted level that can differ: the primes, and
-the prime powers at primes where exactly one curve has good reduction.
-Primes where the twist vanishes are excluded and reported.
+A congruence between the twists by psi of two curves is certified by
+checking a_n(A) = a_n(B) (mod ell) for every n with psi(n) != 0 up to the
+Sturm bound of the ambient twisted level, among the n that can differ: the
+primes, and the prime powers at primes where exactly one curve has good
+reduction.  psi(n) = +-1 wherever it is nonzero and ell is prime, so the
+twist only decides which n are left out; primes where it vanishes are
+excluded and reported.
 """
 
 from __future__ import annotations
@@ -116,23 +118,26 @@ def compare_traces(
     model_a: WeierstrassModel,
     model_b: WeierstrassModel,
     primes: tuple[int, ...],
-    bound: int,
     ell: int,
     twist: QuadraticCharacter,
     conductors: tuple[int, int],
 ) -> CongruenceCertificate:
-    """Compare twist(n)·a_n(A) with twist(n)·a_n(B) mod ell for n up to
-    bound, in ascending order, and return the certificate of the outcome.
+    """Compare a_n(A) with a_n(B) mod ell for each n with twist(n) != 0 up to
+    the Sturm bound, in ascending order, and return the certificate of the
+    outcome.
 
-    a_n is multiplicative, and agreement at a prime q carries over to every
-    q^k when both curves are good at q (the same Hecke recursion) or both are
+    The bound is the Sturm bound of twist.level(lcm(conductors)), which this
+    computes and records with its level; primes must hold every prime up to
+    it, ascending, and each a_p is read through `memo_a_p`.  a_n is
+    multiplicative, and agreement at a prime q carries over to every q^k
+    when both curves are good at q (the same Hecke recursion) or both are
     bad (a_{q^k} = a_q^k).  So n runs over the primes, plus the powers q^k
     (k >= 2) of each prime q that divides exactly one of the two conductors.
-    primes holds every prime <= bound, ascending, and each a_p is read
-    through `memo_a_p`; bound is the Sturm bound of the twisted level of the
-    conductors' lcm.  Primes where the twist vanishes are excluded and
-    listed, and a failure stops at the least counterexample (n, a_n(A), a_n(B)).
+    Primes where the twist vanishes are excluded and listed, and a failure
+    stops at the least counterexample (n, a_n(A), a_n(B)).
     """
+    level = twist.level(lcm(*conductors))
+    bound = sturm_bound(level, 2)
     level_a, level_b = conductors
     powers = {}  # q^k -> (q, k)
     for q in primes:
@@ -147,8 +152,7 @@ def compare_traces(
     checked = 0
     counterexample = None
     for n in sorted([*primes, *powers]) if powers else primes:
-        chi = twist(n)
-        if chi == 0:
+        if twist(n) == 0:
             excluded.append(n)
             continue
         if n in powers:
@@ -158,7 +162,7 @@ def compare_traces(
         else:
             checked += 1
             ta, tb = memo_a_p(model_a, n), memo_a_p(model_b, n)
-        if chi * (ta - tb) % ell != 0:
+        if (ta - tb) % ell != 0:
             counterexample = (n, ta, tb)
             break
     return CongruenceCertificate(
@@ -166,7 +170,7 @@ def compare_traces(
         curve_b=model_b.a_invariants,
         ell=ell,
         twist=twist,
-        twisted_level_value=twist.level(lcm(*conductors)),
+        twisted_level_value=level,
         sturm_bound_value=bound,
         primes_checked=checked,
         excluded_primes=tuple(excluded),
@@ -181,8 +185,8 @@ def certify_congruence(
     ell: int,
     twist: QuadraticCharacter,
 ) -> CongruenceCertificate:
-    """Check psi(n)·a_n(A) = psi(n)·a_n(B) (mod ell) for all n up to the
-    Sturm bound of the common twisted level, through `compare_traces`."""
+    """Check a_n(A) = a_n(B) (mod ell) for every n with psi(n) != 0 up to
+    the Sturm bound of the common twisted level, through `compare_traces`."""
     if not is_prime(ell):
         raise ValueError(f"ell = {ell} is not prime")
     levels = conductor(model_a), conductor(model_b)
@@ -191,7 +195,7 @@ def certify_congruence(
     # their keys are the primes <= bound, ascending
     primes = tuple(ap_table(model_a, bound).entries)
     ap_table(model_b, bound)
-    return compare_traces(model_a, model_b, primes, bound, ell, twist, levels)
+    return compare_traces(model_a, model_b, primes, ell, twist, levels)
 
 
 def reverify_congruence(cert: CongruenceCertificate) -> bool:

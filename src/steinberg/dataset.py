@@ -130,12 +130,11 @@ def scan_level(
     ]
     candidates: list[CandidatePair] = []
     if pairs:
-        # every eligible curve has conductor `level`, so this is the bound
-        # certify_congruence uses for each pair
-        bound = sturm_bound(twist.level(level), 2)
-        primes = primes_up_to(bound)
+        # every eligible curve has conductor `level`, so these are the
+        # primes up to the bound compare_traces derives for each pair
+        primes = primes_up_to(sturm_bound(twist.level(level), 2))
     for rec_a, rec_b in pairs:
-        cert = compare_traces(rec_a.model, rec_b.model, primes, bound, ell, twist, (level, level))
+        cert = compare_traces(rec_a.model, rec_b.model, primes, ell, twist, (level, level))
         if cert.passed:
             candidates.append(CandidatePair(rec_a.label, rec_b.label, cert))
 

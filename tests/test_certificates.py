@@ -219,6 +219,20 @@ def test_verdict_steinberg_failure(E):
     assert "steinberg_at_p" in v.failed_checks
 
 
+def test_verdict_at_p_equal_to_ell_fails_four_checks(E):
+    # ell = p = 19 divides 2p and the level 1406, 19 != -1 (mod 19), and the
+    # unramifiedness criterion needs p != ell; only the Steinberg check holds
+    v = check_theorem_a(E, 19, 19)
+    assert v.conclusion is Conclusion.HYPOTHESIS_FAILED
+    assert v.steinberg_at_p
+    assert v.failed_checks == (
+        "ell_not_2p",
+        "ell_coprime_level",
+        "p_is_minus_one_mod_ell",
+        "unramified_at_p",
+    )
+
+
 def test_verdict_rejects_composite_inputs(E):
     with pytest.raises(ValueError):
         check_theorem_a(E, 4, 5)
@@ -318,6 +332,21 @@ def test_validate_pair_checks_unramifiedness_on_both_curves():
         report = validate_pair(first, second, 2, cert)
         assert report.inconsistencies == ("unramified_at_p",)
         assert report.p_is_minus_one_mod_ell and not report.unramified_at_p
+
+
+def test_validate_pair_agrees_with_each_curves_verdict(E, Eprime, pair_certificate):
+    # the pair report and the existence test decide the two conditions with
+    # the same code: p = -1 (mod ell) on its own, unramifiedness on each curve
+    A, B = make_model(1, 1, 0, 5, 5), make_model(1, 1, 1, -13, 31)
+    N350 = certify_congruence(A, B, 3, QuadraticCharacter(2))
+    for first, second, p, cert in ((E, Eprime, 19, pair_certificate), (A, B, 2, N350)):
+        verdicts = [check_theorem_a(model, p, cert.ell) for model in (first, second)]
+        for x, y in ((first, second), (second, first)):
+            report = validate_pair(x, y, p, cert)
+            for v in verdicts:
+                assert report.p_is_minus_one_mod_ell == v.p_is_minus_one_mod_ell
+            assert report.unramified_at_p == all(v.unramified_at_p for v in verdicts)
+    assert [v.unramified_at_p for v in verdicts] == [True, False]
 
 
 def test_validate_pair_refuses_ell_dividing_2p(E, Eprime, pair_certificate):

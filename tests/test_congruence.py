@@ -264,6 +264,7 @@ def assert_certificate_matches_coefficients(A, B, ell, modulus):
     and otherwise the least n that does."""
     cert = certify_congruence(A, B, ell, QuadraticCharacter(modulus))
     bound = cert.sturm_bound_value
+    assert cert.sturm_bound_value == sturm_bound(cert.twisted_level_value, 2)
     a, b = coefficients(A, bound), coefficients(B, bound)
     least = next(
         (n for n in range(1, bound + 1) if kronecker(n, modulus) * (a[n] - b[n]) % ell),
