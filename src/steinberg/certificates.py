@@ -241,7 +241,7 @@ def validate_pair(
     congruence forces: p = -1 (mod ell), and each curve unramified at p.
 
     Precondition violations (wrong certificate, equal signs, p not
-    multiplicative, twist not vanishing at p, ell | 2p) raise ValueError;
+    multiplicative, p not dividing the twist modulus, ell | 2p) raise ValueError;
     failed conditions are reported in the result instead.  The
     unramifiedness half needs the representation itself, so
     `consistent: false` contradicts the theorem only when the mod-ell
@@ -259,8 +259,8 @@ def validate_pair(
         raise ValueError("certificate is not a passing one")
     if {cert.curve_a, cert.curve_b} != {model_a.a_invariants, model_b.a_invariants}:
         raise ValueError("certificate is for different curves")
-    if cert.twist(p) != 0:
-        raise ValueError(f"certificate does not exclude p = {p} (twist nonzero there)")
+    if cert.twist.modulus % p != 0:
+        raise ValueError(f"certificate does not exclude p = {p} (p does not divide the twist modulus)")
     ell = cert.ell
     if ell in (2, p):
         raise ValueError(f"ell = {ell} divides 2p = {2 * p}; the theorem needs ell coprime to 2p")

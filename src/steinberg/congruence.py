@@ -1,18 +1,17 @@
 """Sturm bounds, quadratic twists, and finite congruence certificates.
 
 A congruence between the twists by psi of two curves is certified by
-checking a_n(A) = a_n(B) (mod ell) for every n with psi(n) != 0 up to the
-Sturm bound of the ambient twisted level, among the n that can differ: the
-primes, and the prime powers at primes where exactly one curve has good
-reduction.  psi(n) = +-1 wherever it is nonzero and ell is prime, so the
-twist only decides which n are left out; primes where it vanishes are
-excluded and reported.
+checking a_n(A) = a_n(B) (mod ell) up to the Sturm bound of the depleted
+level at every n prime to the twist modulus d that can differ: the primes,
+and the prime powers at primes where exactly one curve is good.  psi(n) is
++-1 wherever it is nonzero, so the twist is only a mask; the primes dividing
+d are excluded and reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .arith import factorize, is_prime, kronecker
 from .frobenius import ap_table, memo_a_p
@@ -45,15 +44,15 @@ class QuadraticCharacter(Record):
         return kronecker(n, self.modulus)
 
     def level(self, N: int) -> int:
-        """Level containing the twist of a level-N form by this character:
-        lcm(N, m^2) for a modulus m of the character (Shimura, Prop. 3.64).
-        m = |d|, except m = 4|d| when d = 2 (mod 4): kronecker(n, 2) depends
-        on n mod 8."""
+        """lcm(N, d^2), a level holding the depleted forms of level-N newforms
+        (a_n replaced by 0 where gcd(n, d) > 1).  Depleting f at a prime q | d
+        leaves f if q^2 | N (a_q = 0), f - a_q f|V_q if q || N, and
+        f - a_q f|V_q + q f|V_{q^2} if q does not divide N, so v_q rises to
+        max(v_q(N), 2): lcm(N, rad(d)^2), which divides lcm(N, d^2)
+        (Atkin-Lehner, Math. Ann. 185, 1970)."""
         if N < 1:
             raise ValueError("level must be positive")
-        d = self.modulus
-        m = 4 * abs(d) if d % 4 == 2 else abs(d)
-        return lcm(N, m * m)
+        return lcm(N, self.modulus ** 2)
 
 
 def index_gamma0(M: int) -> int:
@@ -87,9 +86,10 @@ def _read_status(status: str) -> bool:
 class CongruenceCertificate(Record):
     """Outcome of a finite congruence check between two coefficient sequences.
 
-    curve_a / curve_b are the a-invariant tuples; counterexample, when the
-    check fails, is the least offending n together with a_n of both curves:
-    a prime, or a prime power at a prime where only one curve is good.
+    curve_a / curve_b are the a-invariant tuples; twisted_level is the level
+    of the depleted forms; counterexample, when the check fails, is the least
+    offending n with a_n of both curves: a prime, or a prime power at a prime
+    where only one curve is good.
     """
 
     curve_a: tuple[int, int, int, int, int]
@@ -122,9 +122,9 @@ def compare_traces(
     twist: QuadraticCharacter,
     conductors: tuple[int, int],
 ) -> CongruenceCertificate:
-    """Compare a_n(A) with a_n(B) mod ell for each n with twist(n) != 0 up to
-    the Sturm bound, in ascending order, and return the certificate of the
-    outcome.
+    """Compare a_n(A) with a_n(B) mod ell for each n prime to the twist
+    modulus up to the Sturm bound, in ascending order, and return the
+    certificate of the outcome.
 
     The bound is the Sturm bound of twist.level(lcm(conductors)), which this
     computes and records with its level; primes must hold every prime up to
@@ -133,7 +133,7 @@ def compare_traces(
     when both curves are good at q (the same Hecke recursion) or both are
     bad (a_{q^k} = a_q^k).  So n runs over the primes, plus the powers q^k
     (k >= 2) of each prime q that divides exactly one of the two conductors.
-    Primes where the twist vanishes are excluded and listed, and a failure
+    Primes dividing the twist modulus are excluded and listed, and a failure
     stops at the least counterexample (n, a_n(A), a_n(B)).
     """
     level = twist.level(lcm(*conductors))
@@ -143,7 +143,7 @@ def compare_traces(
     for q in primes:
         if q * q > bound:
             break
-        if (level_a % q == 0) != (level_b % q == 0) and twist(q) != 0:
+        if (level_a % q == 0) != (level_b % q == 0) and twist.modulus % q != 0:
             k, qk = 2, q * q
             while qk <= bound:
                 powers[qk] = (q, k)
@@ -152,7 +152,7 @@ def compare_traces(
     checked = 0
     counterexample = None
     for n in sorted([*primes, *powers]) if powers else primes:
-        if twist(n) == 0:
+        if gcd(n, twist.modulus) != 1:
             excluded.append(n)
             continue
         if n in powers:
@@ -185,8 +185,8 @@ def certify_congruence(
     ell: int,
     twist: QuadraticCharacter,
 ) -> CongruenceCertificate:
-    """Check a_n(A) = a_n(B) (mod ell) for every n with psi(n) != 0 up to
-    the Sturm bound of the common twisted level, through `compare_traces`."""
+    """Check a_n(A) = a_n(B) (mod ell) for every n prime to the twist
+    modulus up to the depleted level's Sturm bound, via `compare_traces`."""
     if not is_prime(ell):
         raise ValueError(f"ell = {ell} is not prime")
     levels = conductor(model_a), conductor(model_b)

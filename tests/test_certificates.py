@@ -327,7 +327,7 @@ def test_validate_pair_checks_unramifiedness_on_both_curves():
     # ramified at 2 and the pair is inconsistent whichever curve comes first
     A, B = make_model(1, 1, 0, 5, 5), make_model(1, 1, 1, -13, 31)
     cert = certify_congruence(A, B, 3, QuadraticCharacter(2))
-    assert cert.passed and cert.sturm_bound_value == 3840
+    assert cert.passed and cert.sturm_bound_value == 240
     for first, second in ((A, B), (B, A)):
         report = validate_pair(first, second, 2, cert)
         assert report.inconsistencies == ("unramified_at_p",)

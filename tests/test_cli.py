@@ -297,6 +297,21 @@ def test_scan_finds_pair(table_file):
     assert result["candidates"][0]["certificate"]["status"] == "pass"
 
 
+def test_scan_at_2_certifies_at_the_depleted_level(tmp_path):
+    # the default twist is p = 2 and 2 || 350, so depletion at 2 puts the
+    # level at lcm(350, 2^2) = 700; the sieve stops at its Sturm bound
+    path = tmp_path / "n350.txt"
+    path.write_text("a [1,1,0,5,5]\nb [1,1,1,-13,31]\n", encoding="utf-8")
+    code, env = invoke_json("scan", str(path), "--p", "2", "--ell", "3")
+    assert code == 0
+    [pair] = env["result"]["candidates"]
+    assert pair["labels"] == ["a", "b"]
+    cert = pair["certificate"]
+    assert (cert["status"], cert["twisted_level"], cert["sturm_bound"]) == ("pass", 700, 240)
+    assert cert["excluded_primes"] == [2]
+    assert cert["primes_checked"] + len(cert["excluded_primes"]) == len(steinberg.primes_up_to(240))
+
+
 def test_scan_without_pair_exits_1(table_file):
     code, env = invoke_json("scan", table_file, "--p", "5", "--ell", "5")
     assert code == 1

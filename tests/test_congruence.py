@@ -1,5 +1,5 @@
 import dataclasses
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,6 +12,7 @@ from steinberg import (
     ap_table,
     certify_congruence,
     conductor,
+    factorize,
     index_gamma0,
     kronecker,
     make_model,
@@ -104,25 +105,34 @@ def test_twisted_level_golden():
     assert QuadraticCharacter(19).level(1406) == 26714
     assert QuadraticCharacter(1).level(11) == 11
     assert QuadraticCharacter(3).level(11) == 99
-    # kronecker(n, 2) has period 8, so the twist by 2 lives at lcm(12, 8^2)
-    assert QuadraticCharacter(2).level(12) == 192
-    assert QuadraticCharacter(38).level(1406) == 854848  # 2^6 * 19^2 * 37
+    # depleting at 2 adds nothing where 2^2 | N already
+    assert QuadraticCharacter(2).level(12) == 12
+    assert QuadraticCharacter(38).level(1406) == 53428  # 2^2 * 19^2 * 37
 
 
-def test_twisted_level_squares_a_period_of_the_character():
+def valuation(n, q):
+    k = 0
+    while n % q == 0:
+        n, k = n // q, k + 1
+    return k
+
+
+def test_twisted_level_contains_the_depleted_forms():
+    # depleting a level-N newform at a prime q | d raises v_q(N) to
+    # max(v_q(N), 2), so the depleted forms live at lcm(N, rad(d)^2)
     for d in range(-60, 61):
         if d == 0:
             continue
-        # the true period is at most 8|d|; a window of 16|d| values finds it
-        values = [kronecker(n, d) for n in range(1, 16 * abs(d) + 1)]
-        period = next(
-            q for q in range(1, 8 * abs(d) + 1)
-            if all(values[i] == values[i + q] for i in range(len(values) - q))
-        )
-        level = QuadraticCharacter(d).level(1)
-        m = isqrt(level)  # the modulus the level squares
-        assert m * m == level
-        assert m % period == 0, (d, period, m)
+        factors = factorize(abs(d))
+        primes = [q for q, _ in factors]
+        squarefree = all(e == 1 for _, e in factors)
+        for N in (1, 2, 4, 8, 12, 350, 1406):
+            level = QuadraticCharacter(d).level(N)
+            assert level % N == 0, (d, N)
+            for q in primes:
+                assert valuation(level, q) >= max(valuation(N, q), 2), (d, N, q)
+            if squarefree:
+                assert level == lcm(N, *(q * q for q in primes)), (d, N)
 
 
 def test_twisted_level_rejects_bad_inputs():
@@ -155,10 +165,15 @@ def test_certified_congruence_witnesses_spot_check(E, Eprime, paper_cert):
 def test_congruence_with_wider_twist(E, Eprime):
     cert = certify_congruence(E, Eprime, 5, QuadraticCharacter(38))
     assert cert.passed
-    assert cert.twisted_level_value == 854848
-    assert cert.sturm_bound_value == 231040
+    assert cert.twisted_level_value == 53428
+    assert cert.sturm_bound_value == 14440
     assert cert.excluded_primes == (2, 19)
-    assert cert.primes_checked == 20523
+    assert cert.primes_checked == 1691
+    # the congruence holds past the bound, over the whole range the Sturm
+    # bound of lcm(1406, 4 * 38^2) = 854848 would have asked for
+    for p in primes_up_to(231040):
+        if 38 % p:
+            assert (a_p(E, p) - a_p(Eprime, p)) % 5 == 0, p
 
 
 def test_self_congruence_trivial_twist(E):
@@ -247,6 +262,9 @@ def coefficients(model, bound):
         ("11a1, twist -4", 2, 1),  # a_{2^k} is even on both sides
         ("11a1, twist -4", 2, -4),
         ("A, 11a1", 5, 1),
+        ("paper", 5, 38),
+        ("paper", 7, 38),  # fails at n = 3
+        ("N = 350", 3, 2),
     ],
 )
 def test_certificate_agrees_with_every_coefficient_up_to_the_bound(E, Eprime, pair, ell, modulus):
@@ -255,6 +273,7 @@ def test_certificate_agrees_with_every_coefficient_up_to_the_bound(E, Eprime, pa
         "15a1, twist -7": (CURVE_15A1, quadratic_twist(CURVE_15A1, -7)),
         "11a1, twist -4": (CURVE_11A1, quadratic_twist(CURVE_11A1, -4)),
         "A, 11a1": (E, CURVE_11A1),
+        "N = 350": (make_model(1, 1, 0, 5, 5), make_model(1, 1, 1, -13, 31)),
     }
     assert_certificate_matches_coefficients(*curves[pair], ell, modulus)
 
