@@ -6,7 +6,9 @@ requested check passes or certifies, 1 on a mathematical failure, 2 on bad
 usage or malformed input.  The library checks every argument it is given, so
 exit 2 is any `ValueError`: a composite p or ell, a negative bound, a zero
 twist, a discriminant or level that `factorize` cannot factor into proven
-primes, a bound above the sieve limit `arith.MAX_SIEVE_BOUND`.
+primes, a bound above the sieve limit `arith.MAX_SIEVE_BOUND`.  The library's
+parsers read curves and twists as argv is read, so an error names its argument,
+and `inputs` echoes the parsed arguments (curves as lists, a twist as {"modulus": d}).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .congruence import QuadraticCharacter, certify_congruence, index_gamma0, st
 from .dataset import parse_curve_file, scan_level
 from .frobenius import ap_table
 from .local_reduction import conductor, steinberg_primes, tate_local
-from .weierstrass import parse_curve
+from .weierstrass import WeierstrassModel, parse_curve
 
 __all__ = ["run", "main"]
 
@@ -37,60 +39,51 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _argument(parse):
+    """An argparse `type` that keeps the library's reason for refusing the text."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:  # argparse would print only "invalid <type> value"
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+_curve = _argument(parse_curve)
+_twist = _argument(lambda text: QuadraticCharacter(int(text)))
+
+
 def _cmd_localdata(args):
-    model = parse_curve(args.curve)
+    model = args.curve
     primes = model.bad_primes if args.prime is None else [args.prime]
-    result = {
+    return {
         "conductor": conductor(model),
         "local_data": [tate_local(model, p).to_dict() for p in primes],
         "steinberg_primes": [[p, sign] for p, sign in steinberg_primes(model)],
-    }
-    inputs = {"curve": list(model.a_invariants), "prime": args.prime}
-    return inputs, result, 0
+    }, 0
 
 
 def _cmd_ap(args):
-    model = parse_curve(args.curve)
-    table = ap_table(model, args.bound)
-    inputs = {"curve": list(model.a_invariants), "bound": args.bound}
-    return inputs, table.to_dict(), 0
+    return ap_table(args.curve, args.bound).to_dict(), 0
 
 
 def _cmd_check_theorem(args):
-    model = parse_curve(args.curve)
-    verdict = check_theorem_a(model, args.p, args.ell, args.search_bound)
-    inputs = {
-        "curve": list(model.a_invariants),
-        "p": args.p,
-        "ell": args.ell,
-        "search_bound": args.search_bound,
-    }
-    code = 0 if verdict.conclusion is Conclusion.EXISTENCE_CERTIFIED else 1
-    return inputs, verdict.to_dict(), code
+    verdict = check_theorem_a(args.curve, args.p, args.ell, args.search_bound)
+    return verdict.to_dict(), 0 if verdict.conclusion is Conclusion.EXISTENCE_CERTIFIED else 1
 
 
 def _cmd_sturm(args):
-    result = {
+    return {
         "level": args.level,
         "weight": args.weight,
         "index": index_gamma0(args.level),
         "sturm_bound": sturm_bound(args.level, args.weight),
-    }
-    return {"level": args.level, "weight": args.weight}, result, 0
+    }, 0
 
 
 def _cmd_certify(args):
-    model_a = parse_curve(args.curve_a)
-    model_b = parse_curve(args.curve_b)
-    twist = QuadraticCharacter(args.twist)
-    cert = certify_congruence(model_a, model_b, args.ell, twist)
-    inputs = {
-        "curve_a": list(model_a.a_invariants),
-        "curve_b": list(model_b.a_invariants),
-        "ell": args.ell,
-        "twist": twist.to_dict(),
-    }
-    return inputs, cert.to_dict(), 0 if cert.passed else 1
+    cert = certify_congruence(args.curve_a, args.curve_b, args.ell, args.twist)
+    return cert.to_dict(), 0 if cert.passed else 1
 
 
 def _read_table(path):
@@ -103,17 +96,16 @@ def _read_table(path):
 
 
 def _cmd_scan(args):
-    twist = QuadraticCharacter(args.p if args.twist is None else args.twist)
-    report = scan_level(_read_table(args.file), args.p, args.ell, twist)
-    inputs = {"file": args.file, "p": args.p, "ell": args.ell, "twist": twist.to_dict()}
-    return inputs, report.to_dict(), 0 if report.candidates else 1
+    if args.twist is None:  # the default twist is by p, which is known only now
+        args.twist = QuadraticCharacter(args.p)
+    report = scan_level(_read_table(args.file), args.p, args.ell, args.twist)
+    return report.to_dict(), 0 if report.candidates else 1
 
 
 def _cmd_paper_example(args):
-    model_a = parse_curve(_EXAMPLE_A)
-    model_b = parse_curve(_EXAMPLE_B)
-    p, ell = 19, 5
-    twist = QuadraticCharacter(19)
+    # the fixed inputs, echoed like parsed ones; built per call, so no memo outlives it
+    args.curve_a, args.curve_b = model_a, model_b = parse_curve(_EXAMPLE_A), parse_curve(_EXAMPLE_B)
+    args.p, args.ell, args.twist = p, ell, twist = 19, 5, QuadraticCharacter(19)
     verdict = check_theorem_a(model_a, p, ell)
     cert = certify_congruence(model_a, model_b, ell, twist)
     consistency = validate_pair(model_a, model_b, p, cert)
@@ -124,19 +116,12 @@ def _cmd_paper_example(args):
         "congruence": cert.to_dict(),
         "pair_consistency": consistency.to_dict(),
     }
-    inputs = {
-        "curve_a": list(model_a.a_invariants),
-        "curve_b": list(model_b.a_invariants),
-        "p": p,
-        "ell": ell,
-        "twist": twist.to_dict(),
-    }
     ok = (
         verdict.conclusion is Conclusion.EXISTENCE_CERTIFIED
         and cert.passed
         and consistency.consistent
     )
-    return inputs, result, 0 if ok else 1
+    return result, 0 if ok else 1
 
 
 def _build_parser() -> _Parser:
@@ -147,17 +132,17 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("localdata", parents=[common], help="reduction data at the bad primes")
-    sp.add_argument("curve", help="curve as [a1,a2,a3,a4,a6]")
+    sp.add_argument("curve", type=_curve, help="curve as [a1,a2,a3,a4,a6]")
     sp.add_argument("--prime", type=int, default=None, help="restrict to one prime")
     sp.set_defaults(handler=_cmd_localdata, render=_pretty_localdata)
 
     sp = sub.add_parser("ap", parents=[common], help="table of a_p up to a bound")
-    sp.add_argument("curve")
+    sp.add_argument("curve", type=_curve)
     sp.add_argument("--bound", type=int, required=True)
     sp.set_defaults(handler=_cmd_ap, render=_pretty_ap)
 
     sp = sub.add_parser("check-theorem", parents=[common], help="run the existence test at (p, ell)")
-    sp.add_argument("curve")
+    sp.add_argument("curve", type=_curve)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--search-bound", type=int, default=DEFAULT_SEARCH_BOUND)
@@ -169,17 +154,17 @@ def _build_parser() -> _Parser:
     sp.set_defaults(handler=_cmd_sturm, render=_pretty_sturm)
 
     sp = sub.add_parser("certify", parents=[common], help="certify a twisted congruence mod ell")
-    sp.add_argument("curve_a")
-    sp.add_argument("curve_b")
+    sp.add_argument("curve_a", type=_curve)
+    sp.add_argument("curve_b", type=_curve)
     sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--twist", type=int, default=1, help="Kronecker modulus of the twist (default trivial)")
+    sp.add_argument("--twist", type=_twist, default="1", help="Kronecker modulus of the twist (default trivial)")
     sp.set_defaults(handler=_cmd_certify, render=_pretty_certify)
 
     sp = sub.add_parser("scan", parents=[common], help="scan a curve table for opposite-sign pairs")
     sp.add_argument("file")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--twist", type=int, default=None, help="Kronecker modulus (default: p)")
+    sp.add_argument("--twist", type=_twist, default=None, help="Kronecker modulus (default: p)")
     sp.set_defaults(handler=_cmd_scan, render=_pretty_scan)
 
     sp = sub.add_parser("paper-example", parents=[common], help="run the built-in worked example end to end")
@@ -289,6 +274,11 @@ def _pretty_paper_example(result, out):
     print(f"consistent: {cons['consistent']}", file=out)
 
 
+def _plain(value):
+    """JSON for a parsed argument: a curve as its coefficients, a twist as its record."""
+    return list(value.a_invariants) if isinstance(value, WeierstrassModel) else value.to_dict()
+
+
 def run(argv, stdout=None, stderr=None) -> int:
     """Entry point usable in-process; returns the exit code."""
     out = stdout if stdout is not None else sys.stdout
@@ -296,20 +286,16 @@ def run(argv, stdout=None, stderr=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        inputs, result, code = args.handler(args)
+        result, code = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return 2
     if args.pretty:
         args.render(result, out)
     else:
-        envelope = {
-            "command": args.command,
-            "inputs": inputs,
-            "result": result,
-            "version": __version__,
-        }
-        print(json.dumps(envelope, indent=2), file=out)
+        inputs = {k: v for k, v in vars(args).items() if k not in ("command", "pretty", "handler", "render")}
+        envelope = {"command": args.command, "inputs": inputs, "result": result, "version": __version__}
+        print(json.dumps(envelope, indent=2, default=_plain), file=out)
     return code
 
 

@@ -213,6 +213,4 @@ class ApTable(Record):
 
 def ap_table(model: WeierstrassModel, bound: int) -> ApTable:
     """Tabulate a_p over all primes up to bound, through `memo_a_p`."""
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
     return ApTable(model, bound, {p: memo_a_p(model, p) for p in primes_up_to(bound)})

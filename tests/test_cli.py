@@ -109,6 +109,24 @@ def test_usage_errors_exit_2():
         assert "error:" in err, argv
 
 
+@pytest.mark.parametrize(
+    "argv, argument, reason",
+    [
+        (("localdata", "[1,2,3]"), "curve", "expected 5 coefficients"),
+        (("localdata", "[0,0,0,0,0]"), "curve", "singular model"),
+        (("certify", CURVE_A, CURVE_B, "--ell", "5", "--twist", "0"), "--twist", "modulus must be nonzero"),
+        # refused while argv is read, before the table is opened
+        (("scan", "/no/such/file.txt", "--p", "19", "--ell", "5", "--twist", "0"), "--twist", "modulus must be nonzero"),
+    ],
+    ids=["short curve", "singular curve", "certify twist", "scan twist"],
+)
+def test_argument_errors_name_the_argument_and_keep_the_reason(argv, argument, reason):
+    code, out, err = invoke(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: argument {argument}: ")
+    assert reason in err
+
+
 # -- localdata -------------------------------------------------------------------
 
 def test_localdata_default_runs_all_bad_primes():

@@ -293,6 +293,10 @@ def assert_certificate_matches_coefficients(A, B, ell, modulus):
         assert cert.passed
     else:
         assert cert.counterexample == (least, a[least], b[least])
+    # the primes compared are those up to where the comparison stopped, less the twist's
+    ps = primes_up_to(bound if least is None else least)
+    assert cert.excluded_primes == tuple(q for q in ps if modulus % q == 0)
+    assert cert.primes_checked == len(ps) - len(cert.excluded_primes)
 
 
 BASE_CURVES = {

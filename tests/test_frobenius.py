@@ -199,6 +199,13 @@ def test_ap_table_rejects_negative_bound(E):
         ap_table(E, -1)
 
 
+def test_ap_table_refuses_a_negative_bound_before_counting():
+    model = make_model(1, 1, 1, -614, -5501)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ap_table(model, -1)
+    assert model.ap_memo == {}
+
+
 def test_ap_table_serialization(E):
     data = ap_table(E, 10).to_dict()
     assert data["bound"] == 10

@@ -7,6 +7,7 @@ and review the diff.
 """
 
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,34 @@ def test_stdout_matches_golden(name, pretty, monkeypatch):
     assert code == expected_code
     suffix = ".pretty.txt" if pretty else ".json"
     assert out == (GOLDEN / f"{name}{suffix}").read_text(encoding="utf-8")
+
+
+POSITIONAL = ("curve", "curve_a", "curve_b", "file")
+
+
+def _argv_from_inputs(command, inputs):
+    """The argv that `inputs` echoes: curves as "[a1,...,a6]", a twist as its
+    modulus, None left out; paper-example takes no options."""
+    argv = [command]
+    if command == "paper-example":
+        return argv
+    for key, value in inputs.items():
+        if value is None:
+            continue
+        if isinstance(value, list):
+            value = "[" + ",".join(map(str, value)) + "]"
+        elif isinstance(value, dict):
+            value = value["modulus"]
+        argv += [str(value)] if key in POSITIONAL else [f"--{key.replace('_', '-')}", str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.stem)
+def test_inputs_replay_to_the_same_envelope(path, monkeypatch):
+    expected = path.read_text(encoding="utf-8")
+    envelope = json.loads(expected)
+    monkeypatch.chdir(GOLDEN)
+    assert _run(_argv_from_inputs(envelope["command"], envelope["inputs"]))[1] == expected
 
 
 if __name__ == "__main__":
