@@ -96,9 +96,8 @@ def _read_table(path):
 
 
 def _cmd_scan(args):
-    if args.twist is None:  # the default twist is by p, which is known only now
-        args.twist = QuadraticCharacter(args.p)
     report = scan_level(_read_table(args.file), args.p, args.ell, args.twist)
+    args.twist = report.twist  # `inputs` echoes the twist used, also the default one
     return report.to_dict(), 0 if report.candidates else 1
 
 

@@ -89,7 +89,7 @@ def scan_level(
     records: Iterable[CurveRecord],
     p: int,
     ell: int,
-    twist: QuadraticCharacter,
+    twist: QuadraticCharacter | None = None,
 ) -> ScanReport:
     """Look for opposite-sign congruent pairs among the records.
 
@@ -100,10 +100,13 @@ def scan_level(
     counterexample.  Each curve's a_p are computed at most once (they are
     kept on its model), and a pair that reaches the bound is reported with
     the certificate of that one comparison; nothing is compared twice.
+    The twist defaults to the one by p, built once p is known to be prime.
     """
     for name, value in (("p", p), ("ell", ell)):
         if not is_prime(value):
             raise ValueError(f"{name} = {value} is not prime")
+    if twist is None:
+        twist = QuadraticCharacter(p)
     records = list(records)
     if not records:
         return ScanReport(0, p, ell, twist, (), (), (), ("no records supplied",))

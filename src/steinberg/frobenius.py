@@ -15,6 +15,11 @@
   point whose order has a single multiple in the Hasse interval once
   p > 229 (Cohen, A Course in Computational Algebraic Number Theory,
   §7.4.3).  Below 230 it guarantees nothing, which is why the cutoff is 229.
+  Baby steps store x(j·P) for j <= m = isqrt(w) + 1, w = isqrt(4p); giant
+  steps visit i·S, S = s·P, s = 2m + 1, for the i with i·s within m of the
+  interval, so each N in it is i·s + e with |e| <= m for one visited i.
+  The chord and tangent are inlined on plain int coordinates; only the
+  exceptional points (O, equal x, y = 0) go through `_add`.
 """
 
 from __future__ import annotations
@@ -63,19 +68,17 @@ def _legendre_sum(A: int, B: int, p: int) -> int:
     return count
 
 
-# Affine points of y^2 = x^3 + a·x + b over F_p as (x, y) pairs, None for O.
-# The group law does not read b.
+# Affine points of y^2 = x^3 + a·x + b over F_p as coordinates (x, y), with
+# (None, None) for O.  The group law does not read b.
 
-def _add(P, Q, a: int, p: int):
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
+def _add(x1, y1, x2, y2, a: int, p: int):
+    if x1 is None:
+        return x2, y2
+    if x2 is None:
+        return x1, y1
     if x1 == x2:
         if (y1 + y2) % p == 0:
-            return None
+            return None, None
         lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
     else:
         lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
@@ -83,53 +86,72 @@ def _add(P, Q, a: int, p: int):
     return x3, (lam * (x1 - x3) - y1) % p
 
 
-def _mul(n: int, P, a: int, p: int):
-    R = None
-    for bit in bin(n)[2:]:
-        R = _add(R, R, a, p)
-        if bit == "1":
-            R = _add(R, P, a, p)
-    return R
-
-
 def _hasse_orders(P, a: int, p: int) -> set[int]:
     """Every N in the Hasse interval [p + 1 - w, p + 1 + w], w = isqrt(4p),
-    with N·P = O, by baby steps j·P (j <= m) and giant steps of 2m + 1."""
+    with N·P = O (y(P) != 0), by baby steps j·P (j <= m) and giant steps
+    i·S, S = s·P, s = 2m + 1."""
     w = isqrt(4 * p)
     low, high = p + 1 - w, p + 1 + w
     m = isqrt(w) + 1
-    baby = {}  # x(j·P) -> (j, y(j·P))
-    Q = None
-    for j in range(1, m + 1):
-        Q = _add(Q, P, a, p)
-        hit = baby.get(Q[0])
+    x1, y1 = x, y = P
+    baby = {x1: (1, y1)}  # x(j·P) -> (j, y(j·P))
+    lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p  # 2·P: a tangent, as y(P) != 0
+    for j in range(2, m + 2):
+        xm, ym = x, y
+        x = (lam * lam - x1 - x) % p
+        y = (lam * (x1 - x) - y1) % p
+        hit = baby.get(x)
         if hit is not None:
             # y(P) != 0, so P has order n >= 3 and j·P first repeats an x as
             # -(n - j)·P, before it reaches O: an order this small is j + j'
             order = j + hit[0]
             return set(range(-(-low // order) * order, high + 1, order))
-        baby[Q[0]] = (j, Q[1])
+        if j <= m:  # x(j·P) != x(P), so (j + 1)·P is a chord
+            baby[x] = (j, y)
+            lam = (y - y1) * pow(x - x1, -1, p) % p
 
+    # S = (m + 1)·P + m·P is a chord: S = O would have exited above with order s
     s = 2 * m + 1
-    reach = (w + m) // s  # every t in [-w, w] is i·s + e with |i| <= reach, |e| <= m
-    base = p + 1 - reach * s
-    R = _mul(base, P, a, p)
-    step = _add(_add(Q, Q, a, p), P, a, p)  # Q = m·P
+    lam = (y - ym) * pow(x - xm, -1, p) % p
+    xs = (lam * lam - x - xm) % p
+    ys = (lam * (xm - xs) - ym) % p
+    # each N in the interval is i·s + e with |e| <= m for one i in [lo, hi]
+    lo = -(-(low - m) // s)
+    xr, yr = xs, ys  # R = lo·S, by double-and-add
+    for bit in bin(lo)[3:]:
+        if yr:
+            lam = (3 * xr * xr + a) * pow(2 * yr, -1, p) % p
+            x = (lam * lam - 2 * xr) % p
+            xr, yr = x, (lam * (xr - x) - yr) % p
+        else:  # O or a point of order 2
+            xr, yr = _add(xr, yr, xr, yr, a, p)
+        if bit == "1":
+            if xr is None or xr == xs:
+                xr, yr = _add(xr, yr, xs, ys, a, p)
+            else:
+                lam = (yr - ys) * pow(xr - xs, -1, p) % p
+                xr = (lam * lam - xs - xr) % p
+                yr = (lam * (xs - xr) - ys) % p
     found = set()
-    for _ in range(2 * reach + 1):
-        if R is None:
-            found.add(base)
+    last = (high + m) // s * s
+    for n in range(lo * s, last + 1, s):  # R = n·P
+        if xr is None:
+            found.add(n)
         else:
-            hit = baby.get(R[0])
+            hit = baby.get(xr)
             if hit is not None:
+                # R = ±j·P, and y(j·P) != 0, else (j + 1)·P = -(j - 1)·P
+                # would have exited above
                 j, y = hit
-                # R = j·P or R = -j·P; both when j·P has order 2 (y = 0)
-                if R[1] == y:
-                    found.add(base - j)
-                if R[1] == -y % p:
-                    found.add(base + j)
-        R = _add(R, step, a, p)
-        base += s
+                found.add(n - j if yr == y else n + j)
+        if n == last:
+            break
+        if xr is None or xr == xs:
+            xr, yr = _add(xr, yr, xs, ys, a, p)
+        else:
+            lam = (yr - ys) * pow(xr - xs, -1, p) % p
+            xr = (lam * lam - xs - xr) % p
+            yr = (lam * (xs - xr) - ys) % p
     return {N for N in found if low <= N <= high}
 
 

@@ -368,8 +368,8 @@ def test_scan_fails_fast_on_a_discriminant_it_cannot_factor(tmp_path):
 
 @pytest.mark.parametrize(
     "p, ell, message",
-    [("4", "5", "p = 4 is not prime"), ("19", "25", "ell = 25 is not prime")],
-    ids=["p", "ell"],
+    [("4", "5", "p = 4 is not prime"), ("0", "5", "p = 0 is not prime"), ("19", "25", "ell = 25 is not prime")],
+    ids=["p", "p0", "ell"],
 )
 def test_scan_checks_p_and_ell_before_it_reads_the_table(tmp_path, p, ell, message):
     path = tmp_path / "hostile.txt"

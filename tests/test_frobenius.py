@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import steinberg.frobenius as frob
 from steinberg import (
     ApTable,
@@ -116,6 +117,31 @@ def test_kernel_raises_when_candidates_do_not_narrow():
     # multiples in the Hasse interval; the loop over x ends and raises
     with pytest.raises(ArithmeticError):
         frob._shanks_mestre(1, 0, 29)
+
+
+# -- against the independent Legendre sum in oracles.py ---------------------------
+
+@pytest.mark.parametrize("ai", [(1, 1, 1, -614, -5501), (1, -1, 1, -1191, 507615)], ids=["A", "B"])
+def test_every_good_count_up_to_the_paper_sturm_bound_matches_the_oracle(ai):
+    # 7220 is the Sturm bound at level 26714, where the paper's pair is certified
+    model = make_model(*ai)
+    entries = ap_table(model, 7220).entries
+    for p in good_primes(model, 7220):
+        if p > 3:
+            assert p + 1 - entries[p] == oracles.count_points(model, p), p
+
+
+def test_kernel_matches_the_oracle_on_every_curve_over_the_first_prime_above_mestre():
+    # every nonsingular y^2 = x^3 + A·x + B over F_233: besides the common
+    # path this reaches each rare branch of baby-step/giant-step (an early
+    # x-repeat, S = O, a giant point O or ±S, doubling a point of order 2)
+    p = 233
+    assert primes_up_to(p)[-2] <= frob._MESTRE_BOUND < p
+    chi = oracles.residue_symbols(p)
+    for A in range(p):
+        for B in range(p):
+            if (4 * A * A * A + 27 * B * B) % p:
+                assert frob._shanks_mestre(A, B, p) == oracles.short_count(A, B, p, chi), (A, B)
 
 
 # -- closed forms at large primes --------------------------------------------------
